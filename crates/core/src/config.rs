@@ -200,6 +200,13 @@ impl ManaConfig {
     }
 }
 
+/// `MANA2_DEBUG` (any value) enables checkpoint-protocol tracing to
+/// stderr. Read once per process.
+pub(crate) fn debug_enabled() -> bool {
+    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+    *ON.get_or_init(|| std::env::var("MANA2_DEBUG").is_ok())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

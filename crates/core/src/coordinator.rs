@@ -10,21 +10,32 @@
 //! MANA-2.0's lesson §III-M — "additional communication by MANA should be
 //! minimized … use MPI calls instead of the centralized coordinator" — is
 //! visible in the message counters: with `DrainMode::Alltoall`, the
-//! coordinator exchanges exactly 3 messages per rank per checkpoint
-//! (Ready/Go, Done/Resume), while `DrainMode::Coordinator` adds rounds of
-//! count reports.
+//! coordinator exchanges exactly 4 messages per rank per checkpoint
+//! (Ready, Go, Done, Resume), while `DrainMode::Coordinator` adds rounds
+//! of count reports.
+//!
+//! The protocol is the pure [`RoundMachine`]; this module is its thread
+//! shell, one receive → `step` → perform loop over the channels, intent
+//! flag, clock, store and instrumentation.
 
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
-use mpisim::{ParkerRef, UnparkerRef};
+mod machine;
+
+pub use machine::{Action, CoordError, CoordPhase, RoundMachine};
+
+use crate::config::{debug_enabled, ManaConfig};
+use crate::error::ManaError;
+use mpisim::{ParkerRef, UnparkerRef, World};
 use obs::metrics as met;
 use splitproc::store;
-use std::path::PathBuf;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Rank → coordinator messages.
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum RankMsg {
     /// Any rank may ask for a checkpoint (`dmtcp_command -c` analog).
     RequestCkpt,
@@ -45,11 +56,9 @@ pub enum RankMsg {
         /// Total user bytes received (including drained).
         recvd: u64,
     },
-    /// Topological-sort drain (arXiv 2408.02218): this rank's full
-    /// per-peer sent/received rows. One exchange per round — the
-    /// coordinator orders the in-flight dependencies and answers with
-    /// each rank's exact expected-bytes column, so no collective
-    /// emulation (and no repeat reporting) is needed.
+    /// Topological-sort drain (arXiv 2408.02218): this rank's per-peer
+    /// sent/received rows, sent once per round; the coordinator answers
+    /// with a [`CoordMsg::DrainSchedule`].
     DrainRows {
         /// Reporting rank.
         rank: usize,
@@ -62,15 +71,13 @@ pub enum RankMsg {
     CkptDone {
         /// Reporting rank.
         rank: usize,
-        /// Bytes of the written rank file — the flat image, or the recipe
-        /// in chunked mode. Recorded in the generation manifest, so
-        /// restart's whole-file size/CRC check matches what is on disk.
+        /// Bytes of the written rank file (flat image or chunked recipe),
+        /// as recorded in the generation manifest.
         image_bytes: u64,
-        /// CRC32 of the written rank file (same manifest-facing rule).
+        /// CRC32 of the written rank file, as recorded in the manifest.
         image_crc: u32,
-        /// Logical image payload bytes, layout-independent — what the
-        /// round report sums, so "image bytes per round" means the same
-        /// thing under flat and chunked stores.
+        /// Logical image payload bytes, the same under flat and chunked
+        /// stores — what the round report sums.
         logical_bytes: u64,
     },
     /// Image write failed (even after bounded retries). The round cannot
@@ -81,9 +88,8 @@ pub enum RankMsg {
         /// What went wrong.
         reason: String,
     },
-    /// The application closure wants to finish; the rank blocks until the
-    /// coordinator acknowledges (so a concurrent checkpoint round cannot
-    /// lose a participant).
+    /// The application wants to finish; the rank blocks until the
+    /// coordinator acknowledges, so a concurrent round cannot lose it.
     Finishing {
         /// Reporting rank.
         rank: usize,
@@ -91,7 +97,7 @@ pub enum RankMsg {
 }
 
 /// Coordinator → rank messages (per-rank channels).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum CoordMsg {
     /// All ranks parked; run the drain and write images.
     Go {
@@ -105,26 +111,22 @@ pub enum CoordMsg {
     },
     /// Topological-sort drain schedule, answering [`RankMsg::DrainRows`].
     DrainSchedule {
-        /// Exact bytes each peer sent this rank (the rank drains until
-        /// its received counters meet this column).
+        /// Exact bytes each peer sent this rank: it drains until its
+        /// received counters meet this column.
         expected: Vec<u64>,
-        /// This rank's position in the topological order of the
-        /// in-flight send→receive dependency graph.
+        /// This rank's position in the topological order.
         order: u32,
         /// Edges in the dependency graph (global, for observability).
         edges: u64,
-        /// Whether a cycle forced the planner to break ties (mutual
-        /// in-flight traffic; the drain still terminates because the
-        /// expected columns are exact).
+        /// Whether the planner had to break a cycle.
         cyclic: bool,
     },
     /// Images written everywhere; continue executing.
     Resume,
     /// Images written everywhere; exit (checkpoint-and-kill).
     Exit,
-    /// Some rank failed to write its image: the round did not commit.
-    /// Every rank discards its partial image state and resumes; prior
-    /// committed generations are untouched.
+    /// The round did not commit: every rank discards its partial image
+    /// state and resumes; prior committed generations are untouched.
     AbortRound {
         /// The round that failed to commit.
         round: u64,
@@ -151,29 +153,23 @@ pub struct CkptRoundStats {
 }
 
 /// Handle held by each rank.
-#[derive(Clone)]
 pub struct CoordHandle {
     rank: usize,
     intent: Arc<AtomicBool>,
     round: Arc<AtomicU64>,
     to_coord: Sender<RankMsg>,
     from_coord: Receiver<CoordMsg>,
-    /// Fault plan injecting latency into rank→coordinator messages.
+    /// Fault plan delaying rank→coordinator messages; `sent_msgs` numbers
+    /// them for it, and `rec`/`meter` record its firings.
     fault: Option<Arc<mpisim::FaultPlan>>,
-    /// Per-rank counter identifying each sent message to the fault plan.
-    sent_msgs: Arc<AtomicU64>,
-    /// Flight recorder for this rank (records fault-plan firings on the
-    /// control channel).
+    sent_msgs: AtomicU64,
     rec: Option<obs::Recorder>,
-    /// Metrics-plane handle for this rank (counts control-channel fault
-    /// firings).
     meter: Option<met::Meter>,
-    /// The rank's engine parker, attached by the runtime once the rank's
-    /// `Proc` exists. When set, every blocking point on the control
+    /// The rank's engine parker: every blocking point on the control
     /// channel (receive waits, injected stalls) parks through the engine
-    /// instead of sleeping — under the coop engine this releases the run
-    /// token so other ranks make progress during a quiesce.
-    parker: Option<ParkerRef>,
+    /// — under the coop engine this releases the run token so other ranks
+    /// make progress during a quiesce.
+    parker: ParkerRef,
 }
 
 impl CoordHandle {
@@ -193,30 +189,19 @@ impl CoordHandle {
         self.rank
     }
 
-    /// Route this handle's blocking points through the rank's engine
-    /// parker. Called by the runtime as soon as the rank's `Proc` exists.
-    pub fn attach_parker(&mut self, parker: ParkerRef) {
-        self.parker = Some(parker);
-    }
-
     /// Block this rank for `d` of wall time without holding its run token:
     /// parks on the engine parker in a deadline loop (early wakes from
-    /// banked unparks just re-park), falling back to a plain sleep when no
-    /// parker is attached. Used for injected stalls (coordinator-channel
-    /// delay, ready-stall) so fault injection cannot wedge the coop
-    /// engine's worker pool.
+    /// banked unparks just re-park). Used for injected stalls
+    /// (coordinator-channel delay, ready-stall) so fault injection cannot
+    /// wedge the coop engine's worker pool.
     pub fn stall(&self, d: Duration) {
-        let Some(p) = &self.parker else {
-            std::thread::sleep(d);
-            return;
-        };
         let deadline = Instant::now() + d;
         loop {
             let now = Instant::now();
             if now >= deadline {
                 return;
             }
-            p.park(deadline - now);
+            self.parker.park(deadline - now);
         }
     }
 
@@ -226,50 +211,31 @@ impl CoordHandle {
     /// widens the window between a rank parking and the coordinator
     /// noticing.
     pub fn send(&self, msg: RankMsg) -> crate::error::Result<()> {
-        if let Some(fp) = &self.fault {
-            let k = self.sent_msgs.fetch_add(1, Ordering::Relaxed);
-            if let Some(d) = fp.coord_delay(self.rank, k) {
-                if let Some(m) = &self.meter {
-                    m.add(met::FAULTS_FIRED, 1);
-                }
-                if let Some(r) = &self.rec {
-                    r.event(
-                        obs::NO_ROUND,
-                        obs::EventKind::FaultFired {
-                            fault: obs::FaultKind::CoordDelay,
-                        },
-                    );
-                }
-                self.stall(d);
+        let next = || self.sent_msgs.fetch_add(1, Ordering::Relaxed);
+        if let Some(d) = (self.fault.as_ref()).and_then(|fp| fp.coord_delay(self.rank, next())) {
+            if let Some(m) = &self.meter {
+                m.add(met::FAULTS_FIRED, 1);
             }
+            if let Some(r) = &self.rec {
+                let fault = obs::FaultKind::CoordDelay;
+                r.event(obs::NO_ROUND, obs::EventKind::FaultFired { fault });
+            }
+            self.stall(d);
         }
         self.to_coord
             .send(msg)
-            .map_err(|_| crate::error::ManaError::CoordinatorGone)
+            .map_err(|_| ManaError::CoordinatorGone)
     }
 
-    /// Blocking receive of the next coordinator message. With a parker
-    /// attached the wait is event-driven: the coordinator unparks the rank
-    /// after every message it sends, and the 50 ms cap is only a safety
-    /// net. Without one (unit tests driving the protocol on bare OS
-    /// threads) it degrades to a plain timeout loop.
+    /// Blocking receive of the next coordinator message. The wait is
+    /// event-driven: the coordinator unparks the rank after every message
+    /// it sends, and the 50 ms cap is only a safety net.
     pub fn recv(&self) -> crate::error::Result<CoordMsg> {
         loop {
-            match &self.parker {
-                Some(p) => match self.from_coord.try_recv() {
-                    Ok(m) => return Ok(m),
-                    Err(TryRecvError::Empty) => p.park(Duration::from_millis(50)),
-                    Err(TryRecvError::Disconnected) => {
-                        return Err(crate::error::ManaError::CoordinatorGone)
-                    }
-                },
-                None => match self.from_coord.recv_timeout(Duration::from_millis(50)) {
-                    Ok(m) => return Ok(m),
-                    Err(RecvTimeoutError::Timeout) => continue,
-                    Err(RecvTimeoutError::Disconnected) => {
-                        return Err(crate::error::ManaError::CoordinatorGone)
-                    }
-                },
+            match self.from_coord.try_recv() {
+                Ok(m) => return Ok(m),
+                Err(TryRecvError::Empty) => self.parker.park(Duration::from_millis(50)),
+                Err(TryRecvError::Disconnected) => return Err(ManaError::CoordinatorGone),
             }
         }
     }
@@ -277,6 +243,32 @@ impl CoordHandle {
     /// Ask for a checkpoint.
     pub fn request_checkpoint(&self) -> crate::error::Result<()> {
         self.send(RankMsg::RequestCkpt)
+    }
+}
+
+#[cfg(test)]
+impl CoordHandle {
+    /// A handle wired to bare channels, for rank-side protocol tests: the
+    /// test reads what the rank sends and plays the coordinator's replies.
+    pub(crate) fn bare(
+        rank: usize,
+        parker: ParkerRef,
+    ) -> (Self, Receiver<RankMsg>, Sender<CoordMsg>) {
+        let (to_coord, from_rank) = mpsc::channel();
+        let (to_rank, from_coord) = mpsc::channel();
+        let handle = CoordHandle {
+            rank,
+            intent: Arc::default(),
+            round: Arc::default(),
+            to_coord,
+            from_coord,
+            fault: None,
+            sent_msgs: AtomicU64::new(0),
+            rec: None,
+            meter: None,
+            parker,
+        };
+        (handle, from_rank, to_rank)
     }
 }
 
@@ -319,1045 +311,707 @@ pub struct CoordReport {
     pub invariant_violations: Vec<String>,
 }
 
-/// The coordinator's view of the generational checkpoint store: where the
-/// generations live and how many committed ones to retain. `None` (unit
-/// tests driving the coordinator directly) skips manifest commits, abort
-/// cleanup, and GC — the two-phase message protocol still runs.
-#[derive(Debug, Clone)]
-pub struct CoordStore {
-    /// Store root (the runtime's `ckpt_dir`).
-    pub root: PathBuf,
-    /// Committed generations to keep (floor 1).
-    pub retain: usize,
-    /// Store policy (retry/backoff + flat-vs-chunked layout) — the same
-    /// config the ranks write images with, so manifest writes share their
-    /// retry semantics and GC knows whether a chunk pool may exist.
-    pub store: splitproc::StoreConfig,
-}
+/// An in-round wait longer than this ends the coordinator with
+/// [`CoordError::RoundTimeout`]. Waits outside a round never time out.
+const ROUND_TIMEOUT: Duration = Duration::from_secs(120);
 
-/// A topological plan over the in-flight send→receive dependency graph,
-/// computed by the coordinator from every rank's [`RankMsg::DrainRows`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TopoPlan {
-    /// `order[r]` is rank `r`'s position in the topological order.
-    pub order: Vec<u32>,
-    /// Number of edges in the dependency graph.
-    pub edges: u64,
-    /// True when mutual in-flight traffic formed a cycle and the planner
-    /// broke it (smallest-rank-first). The drain still terminates: the
-    /// expected columns are exact regardless of order.
-    pub cyclic: bool,
-}
-
-/// Order ranks topologically by in-flight traffic (arXiv 2408.02218).
-///
-/// `sent[i][j]` / `recvd[j][i]` are the rows every rank shipped in its
-/// [`RankMsg::DrainRows`]; bytes in flight from `i` to `j` are
-/// `sent[i][j] − recvd[j][i]`, and each positive entry is an edge `i → j`
-/// ("`i`'s traffic must land before `j` is quiet"). Kahn's algorithm with
-/// deterministic smallest-rank-first selection; a cycle (mutual in-flight
-/// traffic) is broken by releasing the smallest remaining rank.
-pub fn topo_order(sent: &[Vec<u64>], recvd: &[Vec<u64>]) -> TopoPlan {
-    let n = sent.len();
-    let mut indeg = vec![0usize; n];
-    let mut out: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut edges = 0u64;
-    for i in 0..n {
-        for j in 0..n {
-            if i == j {
-                continue;
-            }
-            let s = sent[i].get(j).copied().unwrap_or(0);
-            let r = recvd[j].get(i).copied().unwrap_or(0);
-            if s.saturating_sub(r) > 0 {
-                out[i].push(j);
-                indeg[j] += 1;
-                edges += 1;
-            }
-        }
-    }
-    let mut order = vec![0u32; n];
-    let mut placed = vec![false; n];
-    let mut cyclic = false;
-    for pos in 0..n {
-        let next = match (0..n).find(|&r| !placed[r] && indeg[r] == 0) {
-            Some(r) => r,
-            None => {
-                cyclic = true;
-                (0..n).find(|&r| !placed[r]).expect("unplaced rank exists")
-            }
-        };
-        placed[next] = true;
-        order[next] = pos as u32;
-        for &j in &out[next] {
-            if !placed[j] {
-                indeg[j] = indeg[j].saturating_sub(1);
-            }
-        }
-    }
-    TopoPlan {
-        order,
-        edges,
-        cyclic,
-    }
-}
-
-/// Global invariant checker run by the coordinator at the commit point of
-/// every round — after all `CkptDone`, before intent drops and `Resume`/
-/// `Exit` is broadcast. Receives the round number; returns a description
-/// of the violation if the committed global state is inconsistent.
-pub type CommitCheck = Box<dyn Fn(u64) -> std::result::Result<(), String> + Send>;
-
-/// Spawn the coordinator thread for a world of `n` ranks.
+/// Spawn the coordinator thread for `world`, configured from `cfg` (exit
+/// mode, fault plan, store, trace sink, metrics). A restarted world passes
+/// `first_round = restored_round + 1` so round numbers — and generation
+/// directories — keep advancing across restarts. Every commit checks that
+/// no user traffic is in flight.
 ///
 /// Returns per-rank handles, the external trigger, and a join handle whose
-/// result is the coordinator's report.
+/// result is the coordinator's report or the error that stopped it.
 pub fn spawn_coordinator(
-    n: usize,
-    exit_after_ckpt: bool,
+    cfg: &ManaConfig,
+    world: &World,
+    first_round: u64,
 ) -> (
     Vec<CoordHandle>,
     CkptTrigger,
-    std::thread::JoinHandle<CoordReport>,
+    JoinHandle<Result<CoordReport, CoordError>>,
 ) {
-    spawn_coordinator_ext(n, exit_after_ckpt, None, None, None, 0, None, None, None)
+    let (to_coord, from_ranks) = mpsc::channel();
+    let intent = Arc::new(AtomicBool::new(false));
+    let round = Arc::new(AtomicU64::new(first_round));
+    let (handles, ports) = (world.unparkers().into_iter().enumerate())
+        .map(|(rank, waker)| {
+            let (tx, rx) = mpsc::channel();
+            let handle = CoordHandle {
+                rank,
+                intent: intent.clone(),
+                round: round.clone(),
+                to_coord: to_coord.clone(),
+                from_coord: rx,
+                fault: cfg.fault.clone(),
+                sent_msgs: AtomicU64::new(0),
+                rec: cfg.trace.as_ref().map(|s| s.recorder(rank as i32)),
+                meter: cfg.metrics.as_ref().map(|m| m.meter(rank as i32)),
+                parker: world.parker(rank),
+            };
+            (handle, RankPort { tx, waker })
+        })
+        .unzip();
+    let intro = world.introspect();
+    let check = Box::new(move |round| match intro.user_in_flight() {
+        (0, 0) => Ok(()),
+        (msgs, bytes) => Err(format!(
+            "round {round} committed with user traffic in flight: \
+             {msgs} message(s) / {bytes} byte(s)"
+        )),
+    });
+    let machine = RoundMachine::new(world.size(), cfg.exit_after_ckpt, first_round);
+    let shell = Shell::new(cfg.clone(), ports, intent, round, check);
+    let join = std::thread::Builder::new()
+        .name("mana-coordinator".into())
+        .spawn(move || shell.run(machine, from_ranks, ROUND_TIMEOUT))
+        .expect("spawn coordinator");
+    (handles, CkptTrigger { tx: to_coord }, join)
 }
 
-/// The coordinator's outbound port to one rank: a bounded channel plus the
-/// rank's engine unparker. Every send is followed by an unpark so a rank
-/// parked in [`CoordHandle::recv`] (or in a scheduling park between
-/// wrapper calls) wakes promptly instead of waiting out its timeout.
+/// The coordinator's outbound port to one rank. Every send unparks the
+/// rank, so one parked in [`CoordHandle::recv`] wakes promptly.
 struct RankPort {
     tx: Sender<CoordMsg>,
-    waker: Option<UnparkerRef>,
+    waker: UnparkerRef,
 }
 
 impl RankPort {
     fn send(&self, msg: CoordMsg) {
         let _ = self.tx.send(msg);
-        if let Some(w) = &self.waker {
-            w.unpark();
-        }
+        self.waker.unpark();
     }
 }
 
-/// [`spawn_coordinator`] with fault injection, a commit-time invariant
-/// checker, a generational store for two-phase round commit, the first
-/// round number, and an optional flight-recorder sink. A restarted world
-/// passes `restored_round + 1` so round numbers — and therefore
-/// generation directories — keep advancing across restarts instead of
-/// colliding with committed generations. When `trace` is set, the
-/// coordinator records its own quiesce/write/commit spans into the
-/// sink's coordinator ring ([`obs::COORD_ACTOR`]) and each handle
-/// records control-channel fault firings into its rank's ring.
-///
-/// `wakers` carries one engine unparker per rank (from
-/// [`mpisim::World::unparkers`]); the coordinator unparks a rank after
-/// every message to it and unparks all ranks when it raises checkpoint
-/// intent, so engine-parked ranks notice control traffic promptly.
-///
-/// When `metrics` is set, the coordinator records round counters and
-/// quiesce/write/commit/fan-in latency histograms into its
-/// [`obs::COORD_ACTOR`] shard, and each handle counts control-channel
-/// fault firings under its rank.
-#[allow(clippy::too_many_arguments)]
-pub fn spawn_coordinator_ext(
-    n: usize,
-    exit_after_ckpt: bool,
-    fault: Option<Arc<mpisim::FaultPlan>>,
-    commit_check: Option<CommitCheck>,
-    ckpt_store: Option<CoordStore>,
-    initial_round: u64,
-    trace: Option<Arc<obs::TraceSink>>,
-    wakers: Option<Vec<UnparkerRef>>,
-    metrics: Option<Arc<met::MetricsRegistry>>,
-) -> (
-    Vec<CoordHandle>,
-    CkptTrigger,
-    std::thread::JoinHandle<CoordReport>,
-) {
-    if let Some(w) = &wakers {
-        assert_eq!(w.len(), n, "need one waker per rank");
+/// Commit-time global invariant check: given the round, describe the
+/// violation if the committed global state is inconsistent.
+type CommitCheck = Box<dyn Fn(u64) -> Result<(), String> + Send>;
+
+const PHASES: usize = CoordPhase::Abort as usize + 1;
+
+/// The coordinator's one instrumentation point: the coordinator-ring
+/// trace span and the latency histogram of each phase.
+fn instruments(phase: CoordPhase) -> (Option<obs::Phase>, Option<met::MetricId>) {
+    match phase {
+        CoordPhase::Round => (None, Some(met::ROUND_LATENCY_NS)),
+        CoordPhase::Quiesce => (Some(obs::Phase::Intent), Some(met::ROUND_QUIESCE_NS)),
+        CoordPhase::Write => (Some(obs::Phase::ImageWrite), Some(met::ROUND_WRITE_NS)),
+        CoordPhase::FanIn => (None, Some(met::COORD_FANIN_NS)),
+        CoordPhase::DrainPlan => (Some(obs::Phase::DrainPlan), None),
+        CoordPhase::Commit => (Some(obs::Phase::Commit), Some(met::ROUND_COMMIT_NS)),
+        CoordPhase::Abort => (Some(obs::Phase::AbortRound), None),
     }
-    let (to_coord, from_ranks) = unbounded::<RankMsg>();
-    let intent = Arc::new(AtomicBool::new(false));
-    let round = Arc::new(AtomicU64::new(initial_round));
-    let mut handles = Vec::with_capacity(n);
-    let mut ports = Vec::with_capacity(n);
-    for rank in 0..n {
-        let (tx, rx) = bounded::<CoordMsg>(8);
-        ports.push(RankPort {
-            tx,
-            waker: wakers.as_ref().map(|w| w[rank].clone()),
-        });
-        handles.push(CoordHandle {
-            rank,
-            intent: intent.clone(),
-            round: round.clone(),
-            to_coord: to_coord.clone(),
-            from_coord: rx,
-            fault: fault.clone(),
-            sent_msgs: Arc::new(AtomicU64::new(0)),
-            rec: trace.as_ref().map(|s| s.recorder(rank as i32)),
-            meter: metrics.as_ref().map(|m| m.meter(rank as i32)),
-            parker: None,
-        });
-    }
-    let trigger = CkptTrigger {
-        tx: to_coord.clone(),
-    };
-    let coord_rec = trace.as_ref().map(|s| s.recorder(obs::COORD_ACTOR));
-    let coord_meter = metrics.as_ref().map(|m| m.meter(obs::COORD_ACTOR));
-    let join = std::thread::Builder::new()
-        .name("mana-coordinator".into())
-        .spawn(move || {
-            coordinator_loop(
-                n,
-                exit_after_ckpt,
-                intent,
-                round,
-                from_ranks,
-                ports,
-                commit_check,
-                ckpt_store,
-                coord_rec,
-                coord_meter,
-            )
-        })
-        .expect("spawn coordinator");
-    (handles, trigger, join)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn coordinator_loop(
-    n: usize,
-    exit_after_ckpt: bool,
-    intent: Arc<AtomicBool>,
-    round_ctr: Arc<AtomicU64>,
-    from_ranks: Receiver<RankMsg>,
+/// The I/O half of the coordinator: performs the [`RoundMachine`]'s
+/// actions against the channels, the shared intent flag, the clock, the
+/// store and the instrumentation, and records what happened.
+struct Shell {
+    cfg: ManaConfig,
     ports: Vec<RankPort>,
-    commit_check: Option<CommitCheck>,
-    ckpt_store: Option<CoordStore>,
+    intent: Arc<AtomicBool>,
+    round: Arc<AtomicU64>,
+    check: CommitCheck,
     rec: Option<obs::Recorder>,
     meter: Option<met::Meter>,
-) -> CoordReport {
-    let mut report = CoordReport::default();
-    let mut finished = vec![false; n];
-    let mut finished_count = 0usize;
-    let mut exited = false;
+    /// Per [`CoordPhase`]: when it last began and how long it last took.
+    clock: [(Option<Instant>, Duration); PHASES],
+    report: CoordReport,
+}
 
-    'outer: while finished_count < n {
-        let msg = match from_ranks.recv_timeout(Duration::from_secs(120)) {
-            Ok(m) => m,
-            Err(RecvTimeoutError::Timeout) => break,
-            Err(RecvTimeoutError::Disconnected) => break,
-        };
-        match msg {
-            RankMsg::Finishing { rank } => {
-                finished[rank] = true;
-                finished_count += 1;
-                ports[rank].send(CoordMsg::FinishAck);
-            }
-            RankMsg::RequestCkpt => {
-                if finished_count > 0 || exited {
-                    report.skipped_requests += 1;
-                    continue;
+impl Shell {
+    fn new(
+        cfg: ManaConfig,
+        ports: Vec<RankPort>,
+        intent: Arc<AtomicBool>,
+        round: Arc<AtomicU64>,
+        check: CommitCheck,
+    ) -> Self {
+        Shell {
+            rec: cfg.trace.as_ref().map(|s| s.recorder(obs::COORD_ACTOR)),
+            meter: cfg.metrics.as_ref().map(|m| m.meter(obs::COORD_ACTOR)),
+            cfg,
+            ports,
+            intent,
+            round,
+            check,
+            clock: [(None, Duration::ZERO); PHASES],
+            report: CoordReport::default(),
+        }
+    }
+
+    /// Receive → step → perform until every rank has finished. A wait
+    /// inside a round that outlasts `deadline` is a
+    /// [`CoordError::RoundTimeout`]; an idle wait has no deadline.
+    fn run(
+        mut self,
+        mut machine: RoundMachine,
+        rx: Receiver<RankMsg>,
+        deadline: Duration,
+    ) -> Result<CoordReport, CoordError> {
+        'run: loop {
+            let got = if machine.in_round() {
+                rx.recv_timeout(deadline)
+            } else {
+                rx.recv().map_err(|_| RecvTimeoutError::Disconnected)
+            };
+            let msg = match got {
+                Ok(msg) => msg,
+                Err(RecvTimeoutError::Timeout) => return Err(machine.timeout()),
+                // Every sender is gone: the ranks ended (or failed)
+                // without a goodbye, so nobody is left to coordinate.
+                Err(RecvTimeoutError::Disconnected) => break,
+            };
+            let mut todo = VecDeque::from(machine.step(msg)?);
+            while let Some(action) = todo.pop_front() {
+                match action {
+                    Action::Commit(manifest) => {
+                        let outcome = self.commit(&manifest);
+                        todo.extend(machine.committed(outcome));
+                    }
+                    Action::Finish => break 'run,
+                    other => self.perform(other),
                 }
-                // ---- one checkpoint round ----
-                let round = round_ctr.load(Ordering::Acquire);
-                if std::env::var("MANA2_DEBUG").is_ok() {
+            }
+        }
+        self.report.skipped_requests = machine.skipped_requests();
+        Ok(self.report)
+    }
+
+    fn perform(&mut self, action: Action) {
+        match action {
+            Action::RaiseIntent => {
+                if debug_enabled() {
+                    let round = self.round.load(Ordering::Acquire);
                     eprintln!("mana2: coordinator starting round {round}");
                 }
-                let t0 = Instant::now();
-                let mut msgs = 0u64;
-                intent.store(true, Ordering::Release);
+                self.intent.store(true, Ordering::Release);
                 // Kick every rank: one parked between wrapper calls would
-                // otherwise only notice the raised intent when its park
-                // timeout expires.
-                for port in &ports {
-                    if let Some(w) = &port.waker {
-                        w.unpark();
-                    }
+                // otherwise notice the intent only when its park times out.
+                self.ports.iter().for_each(|p| p.waker.unpark());
+            }
+            Action::DropIntent { next_round } => {
+                self.intent.store(false, Ordering::Release);
+                self.round.store(next_round, Ordering::Release);
+            }
+            Action::Send(rank, msg) => self.ports[rank].send(msg),
+            Action::Broadcast(msg) => self.ports.iter().for_each(|p| p.send(msg.clone())),
+            Action::Begin(round, phase) => {
+                if let (Some(r), (Some(span), _)) = (&self.rec, instruments(phase)) {
+                    r.begin(round as i64, span);
                 }
-                if let Some(r) = &rec {
-                    r.begin(round as i64, obs::Phase::Intent);
+                self.clock[phase as usize].0 = Some(Instant::now());
+            }
+            Action::End(round, phase) => {
+                let (began, took) = &mut self.clock[phase as usize];
+                *took = began.take().map_or(Duration::ZERO, |t| t.elapsed());
+                let (span, hist) = instruments(phase);
+                if let (Some(r), Some(span)) = (&self.rec, span) {
+                    r.end(round as i64, span);
                 }
-
-                // Phase 1: collect Ready from every rank.
-                let mut ready = 0usize;
-                let mut gids = Vec::new();
-                while ready < n {
-                    match from_ranks.recv_timeout(Duration::from_secs(120)) {
-                        Ok(RankMsg::Ready { in_collective, .. }) => {
-                            msgs += 1;
-                            ready += 1;
-                            if let Some(g) = in_collective {
-                                if !gids.contains(&g) {
-                                    gids.push(g);
-                                }
-                            }
-                        }
-                        // A rank announcing Finishing is at a safe point:
-                        // count it Ready. Its finalize loop handles the Go
-                        // it receives instead of FinishAck, runs the
-                        // checkpoint, and re-announces Finishing afterwards.
-                        Ok(RankMsg::Finishing { .. }) => {
-                            msgs += 1;
-                            ready += 1;
-                        }
-                        Ok(RankMsg::RequestCkpt) => {
-                            // Coalesce concurrent requests into this round.
-                            report.skipped_requests += 1;
-                        }
-                        Ok(other) => {
-                            debug_assert!(false, "unexpected during quiesce: {other:?}");
-                        }
-                        Err(_) => break 'outer,
-                    }
-                }
-                let quiesce = t0.elapsed();
-                if let Some(r) = &rec {
-                    r.end(round as i64, obs::Phase::Intent);
-                    // The coordinator's "write" window opens at Go and
-                    // closes when the last rank reports — it brackets
-                    // every rank's drain + image write.
-                    r.begin(round as i64, obs::Phase::ImageWrite);
-                }
-
-                // Phase 2: release the drain.
-                for port in &ports {
-                    port.send(CoordMsg::Go { round });
-                    msgs += 1;
-                }
-
-                // Phase 2b (legacy drain only): totals rounds. The ranks
-                // drive this; we answer every complete set of n reports.
-                // Phase 3: collect Done/Failed from every rank.
-                let t1 = Instant::now();
-                let mut reported = 0usize;
-                let mut total_bytes = 0u64;
-                let mut images: Vec<Option<store::ManifestEntry>> = vec![None; n];
-                let mut failures: Vec<(usize, String)> = Vec::new();
-                let mut drain_reports: Vec<(u64, u64)> = Vec::new();
-                // Topo-sort drain: one (sent, recvd) row pair per rank.
-                let mut topo_rows: Vec<Option<(Vec<u64>, Vec<u64>)>> = vec![None; n];
-                let mut topo_count = 0usize;
-                // Fan-in spread: first to last rank report this round.
-                let mut first_report: Option<Instant> = None;
-                let mut last_report: Option<Instant> = None;
-                while reported < n {
-                    match from_ranks.recv_timeout(Duration::from_secs(120)) {
-                        Ok(RankMsg::DrainReport { sent, recvd, .. }) => {
-                            msgs += 1;
-                            drain_reports.push((sent, recvd));
-                            if drain_reports.len() == n {
-                                let s: u64 = drain_reports.iter().map(|r| r.0).sum();
-                                let r: u64 = drain_reports.iter().map(|r| r.1).sum();
-                                let balanced = s == r;
-                                for port in &ports {
-                                    port.send(CoordMsg::DrainVerdict { balanced });
-                                    msgs += 1;
-                                }
-                                drain_reports.clear();
-                            }
-                        }
-                        Ok(RankMsg::DrainRows { rank, sent, recvd }) => {
-                            msgs += 1;
-                            if topo_rows[rank].replace((sent, recvd)).is_none() {
-                                topo_count += 1;
-                            }
-                            if topo_count == n {
-                                // Plan once all rows are in: order the
-                                // in-flight dependency graph and hand every
-                                // rank its exact expected column.
-                                if let Some(r) = &rec {
-                                    r.begin(round as i64, obs::Phase::DrainPlan);
-                                }
-                                let rows: Vec<(Vec<u64>, Vec<u64>)> = topo_rows
-                                    .iter_mut()
-                                    .map(|r| r.take().expect("all rows present"))
-                                    .collect();
-                                topo_count = 0;
-                                let sent: Vec<Vec<u64>> =
-                                    rows.iter().map(|r| r.0.clone()).collect();
-                                let recvd: Vec<Vec<u64>> =
-                                    rows.iter().map(|r| r.1.clone()).collect();
-                                let plan = topo_order(&sent, &recvd);
-                                if let Some(m) = &meter {
-                                    m.add(met::DRAIN_TOPO_PLANS, 1);
-                                    m.add(met::DRAIN_TOPO_EDGES, plan.edges);
-                                    if plan.cyclic {
-                                        m.add(met::DRAIN_TOPO_CYCLES, 1);
-                                    }
-                                }
-                                for (j, port) in ports.iter().enumerate() {
-                                    let expected: Vec<u64> = (0..n)
-                                        .map(|i| sent[i].get(j).copied().unwrap_or(0))
-                                        .collect();
-                                    port.send(CoordMsg::DrainSchedule {
-                                        expected,
-                                        order: plan.order[j],
-                                        edges: plan.edges,
-                                        cyclic: plan.cyclic,
-                                    });
-                                    msgs += 1;
-                                }
-                                if let Some(r) = &rec {
-                                    r.end(round as i64, obs::Phase::DrainPlan);
-                                }
-                            }
-                        }
-                        Ok(RankMsg::CkptDone {
-                            rank,
-                            image_bytes,
-                            image_crc,
-                            logical_bytes,
-                        }) => {
-                            msgs += 1;
-                            reported += 1;
-                            let now = Instant::now();
-                            first_report.get_or_insert(now);
-                            last_report = Some(now);
-                            total_bytes += logical_bytes;
-                            images[rank] = Some(store::ManifestEntry {
-                                rank: rank as u64,
-                                bytes: image_bytes,
-                                crc: image_crc,
-                            });
-                        }
-                        Ok(RankMsg::CkptFailed { rank, reason }) => {
-                            msgs += 1;
-                            reported += 1;
-                            let now = Instant::now();
-                            first_report.get_or_insert(now);
-                            last_report = Some(now);
-                            failures.push((rank, reason));
-                        }
-                        Ok(RankMsg::RequestCkpt) => {
-                            report.skipped_requests += 1;
-                        }
-                        Ok(other) => {
-                            debug_assert!(false, "unexpected during write: {other:?}");
-                        }
-                        Err(_) => break 'outer,
-                    }
-                }
-                let write = t1.elapsed();
-                if let Some(r) = &rec {
-                    r.end(round as i64, obs::Phase::ImageWrite);
-                }
-                if let Some(m) = &meter {
-                    if let (Some(a), Some(b)) = (first_report, last_report) {
-                        m.observe(
-                            met::COORD_FANIN_NS,
-                            b.saturating_duration_since(a).as_nanos() as u64,
-                        );
-                    }
-                }
-
-                // Commit point: every rank has drained and reported, none
-                // has resumed. The round commits only if *all* ranks wrote
-                // durably — then the manifest makes it restart material.
-                let t_commit = Instant::now();
-                if failures.is_empty() {
-                    if let Some(r) = &rec {
-                        r.begin(round as i64, obs::Phase::Commit);
-                    }
-                    if let Some(cs) = &ckpt_store {
-                        let manifest = store::Manifest {
-                            round,
-                            world_size: n as u64,
-                            entries: images.iter().flatten().copied().collect(),
-                        };
-                        if let Err(e) = store::commit_generation(&cs.root, &manifest, &cs.store) {
-                            // Manifest didn't land: the generation is not
-                            // committed. Treat like a rank failure.
-                            failures.push((usize::MAX, format!("manifest write failed: {e}")));
-                        }
-                    }
-                    if let Some(r) = &rec {
-                        r.end(round as i64, obs::Phase::Commit);
-                    }
-                }
-
-                if !failures.is_empty() {
-                    if let Some(r) = &rec {
-                        r.begin(round as i64, obs::Phase::AbortRound);
-                    }
-                    // Abort path: scrap the partial generation, tell every
-                    // rank to discard and resume. Prior committed
-                    // generations are untouched — round N's failure never
-                    // costs round N−1.
-                    if let Some(cs) = &ckpt_store {
-                        let _ = store::abort_generation(&cs.root, round);
-                    }
-                    intent.store(false, Ordering::Release);
-                    round_ctr.store(round + 1, Ordering::Release);
-                    for port in &ports {
-                        port.send(CoordMsg::AbortRound { round });
-                    }
-                    if std::env::var("MANA2_DEBUG").is_ok() {
-                        eprintln!("mana2: coordinator aborted round {round}: {failures:?}");
-                    }
-                    if let Some(r) = &rec {
-                        r.end(round as i64, obs::Phase::AbortRound);
-                    }
-                    if let Some(m) = &meter {
-                        m.add(met::ROUNDS_ABORTED, 1);
-                    }
-                    report.aborted_rounds.push(AbortedRound { round, failures });
-                    continue;
-                }
-
-                // This is the only instant where the global quiesced state
-                // is observable — run the invariant checker here, before
-                // intent drops.
-                if let Some(check) = &commit_check {
-                    if let Err(v) = check(round) {
-                        report
-                            .invariant_violations
-                            .push(format!("round {round}: {v}"));
-                    }
-                }
-
-                // Phase 4: resume or kill. Intent must drop *before* the
-                // broadcast: the channel receive synchronizes-with the
-                // send, so a resuming rank is guaranteed to read intent ==
-                // false and cannot emit a spurious Ready into the main
-                // loop.
-                intent.store(false, Ordering::Release);
-                round_ctr.store(round + 1, Ordering::Release);
-                let fin = if exit_after_ckpt {
-                    CoordMsg::Exit
-                } else {
-                    CoordMsg::Resume
-                };
-                for port in &ports {
-                    port.send(fin.clone());
-                    msgs += 1;
-                }
-                if let Some(m) = &meter {
-                    m.add(met::ROUNDS_COMMITTED, 1);
-                    m.observe(met::ROUND_QUIESCE_NS, quiesce.as_nanos() as u64);
-                    m.observe(met::ROUND_WRITE_NS, write.as_nanos() as u64);
-                    m.observe(met::ROUND_COMMIT_NS, t_commit.elapsed().as_nanos() as u64);
-                    m.observe(met::ROUND_LATENCY_NS, t0.elapsed().as_nanos() as u64);
-                }
-                report.rounds.push(CkptRoundStats {
-                    round,
-                    quiesce,
-                    write,
-                    total_image_bytes: total_bytes,
-                    gids_in_flight: gids,
-                    coord_msgs: msgs,
-                });
-                // The committed round supersedes older generations: sweep
-                // beyond the retention window (best-effort; GC failure
-                // must not fail the job). Generations pinned by an open
-                // restart-journal epoch are exempt — a restart in flight
-                // must never have its source collected out from under it.
-                if let Some(cs) = &ckpt_store {
-                    if let Ok(collected) = store::gc_generations(&cs.root, cs.retain) {
-                        if let Some(m) = &meter {
-                            m.add(met::STORE_GC_GENERATIONS, collected.len() as u64);
-                        }
-                    }
-                    // With generations swept, chunks referenced only by the
-                    // removed rounds are garbage. The sweep runs strictly
-                    // after gc_generations (journal-pinned generations
-                    // survive it, so their chunks stay referenced) and
-                    // never concurrently with image writes — the ranks are
-                    // parked in phase 4 until the verdict fan-out above.
-                    if cs.store.mode == splitproc::StoreMode::Chunked {
-                        if let Ok(swept) = store::gc_chunks(&cs.root) {
-                            if let Some(m) = &meter {
-                                m.add(met::STORE_GC_CHUNKS, swept.removed);
-                            }
-                        }
-                    }
-                }
-                if exit_after_ckpt {
-                    exited = true;
+                if let (Some(m), Some(hist)) = (&self.meter, hist) {
+                    m.observe(hist, took.as_nanos() as u64);
                 }
             }
-            RankMsg::Ready { .. }
-            | RankMsg::DrainReport { .. }
-            | RankMsg::DrainRows { .. }
-            | RankMsg::CkptDone { .. }
-            | RankMsg::CkptFailed { .. } => {
-                debug_assert!(false, "stray message outside a round: {msg:?}");
+            Action::Count(id, delta) => self.count(id, delta),
+            Action::Abort(aborted) => {
+                let _ = store::abort_generation(&self.cfg.ckpt_dir, aborted.round);
+                if debug_enabled() {
+                    let AbortedRound { round, failures } = &aborted;
+                    eprintln!("mana2: coordinator aborted round {round}: {failures:?}");
+                }
+                self.report.aborted_rounds.push(aborted);
+            }
+            Action::Record(mut stats) => {
+                stats.quiesce = self.clock[CoordPhase::Quiesce as usize].1;
+                stats.write = self.clock[CoordPhase::Write as usize].1;
+                self.report.rounds.push(stats);
+            }
+            Action::Gc => self.gc(),
+            a @ (Action::Commit(_) | Action::Finish) => unreachable!("run() performs {a:?}"),
+        }
+    }
+
+    fn count(&self, id: met::MetricId, delta: u64) {
+        if let Some(m) = &self.meter {
+            m.add(id, delta);
+        }
+    }
+
+    /// Durably write the manifest; only once it landed, run the invariant
+    /// check — the one instant the quiesced global state is observable.
+    fn commit(&mut self, manifest: &store::Manifest) -> Result<(), String> {
+        let (root, round) = (&self.cfg.ckpt_dir, manifest.round);
+        store::commit_generation(root, manifest, &self.cfg.store).map_err(|e| e.to_string())?;
+        if let Err(v) = (self.check)(round) {
+            self.report
+                .invariant_violations
+                .push(format!("round {round}: {v}"));
+        }
+        Ok(())
+    }
+
+    /// Sweep generations beyond the retention window, then the chunks only
+    /// they referenced. Best-effort: GC failure must not fail the job.
+    /// Generations pinned by an open restart-journal epoch survive, so
+    /// their chunks stay referenced; and no image write can run
+    /// concurrently, because the next round needs this thread to raise
+    /// intent first.
+    fn gc(&self) {
+        let root = &self.cfg.ckpt_dir;
+        if let Ok(collected) = store::gc_generations(root, self.cfg.retain_generations) {
+            self.count(met::STORE_GC_GENERATIONS, collected.len() as u64);
+        }
+        if self.cfg.store.mode == splitproc::StoreMode::Chunked {
+            if let Ok(swept) = store::gc_chunks(root) {
+                self.count(met::STORE_GC_CHUNKS, swept.removed);
             }
         }
     }
-    report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Feed `msgs` to the machine, answering every commit with `commit`.
+    fn drive(m: &mut RoundMachine, msgs: Vec<RankMsg>, commit: Result<(), String>) -> Vec<Action> {
+        let mut out = Vec::new();
+        for msg in msgs {
+            for a in m.step(msg).expect("legal message") {
+                if matches!(a, Action::Commit(_)) {
+                    out.push(a);
+                    out.extend(m.committed(commit.clone()));
+                } else {
+                    out.push(a);
+                }
+            }
+        }
+        out
+    }
+
+    fn ready(n: usize) -> Vec<RankMsg> {
+        (0..n)
+            .map(|rank| RankMsg::Ready {
+                rank,
+                in_collective: (rank % 2 == 0).then_some(42),
+            })
+            .collect()
+    }
+
+    fn done(n: usize, bytes: u64) -> Vec<RankMsg> {
+        (0..n)
+            .map(|rank| RankMsg::CkptDone {
+                rank,
+                image_bytes: bytes,
+                image_crc: 0,
+                logical_bytes: bytes,
+            })
+            .collect()
+    }
+
+    fn finishing(n: usize) -> Vec<RankMsg> {
+        (0..n).map(|rank| RankMsg::Finishing { rank }).collect()
+    }
+
+    fn broadcasts(actions: &[Action]) -> Vec<CoordMsg> {
+        (actions.iter())
+            .filter_map(|a| match a {
+                Action::Broadcast(m) => Some(m.clone()),
+                _ => None,
+            })
+            .collect()
+    }
+
+    fn records(actions: &[Action]) -> Vec<CkptRoundStats> {
+        (actions.iter())
+            .filter_map(|a| match a {
+                Action::Record(s) => Some(s.clone()),
+                _ => None,
+            })
+            .collect()
+    }
+
+    fn aborts(actions: &[Action]) -> Vec<AbortedRound> {
+        (actions.iter())
+            .filter_map(|a| match a {
+                Action::Abort(ab) => Some(ab.clone()),
+                _ => None,
+            })
+            .collect()
+    }
+
     #[test]
     fn finishing_without_checkpoints() {
-        let n = 3;
-        let (handles, _trigger, join) = spawn_coordinator(n, false);
-        let threads: Vec<_> = handles
-            .into_iter()
-            .map(|h| {
-                std::thread::spawn(move || {
-                    h.send(RankMsg::Finishing { rank: h.rank() }).unwrap();
-                    assert_eq!(h.recv().unwrap(), CoordMsg::FinishAck);
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        let report = join.join().unwrap();
-        assert!(report.rounds.is_empty());
+        let mut m = RoundMachine::new(3, false, 0);
+        let out = drive(&mut m, finishing(3), Ok(()));
+        let acks = (0..3).map(|r| Action::Send(r, CoordMsg::FinishAck));
+        assert_eq!(out, acks.chain([Action::Finish]).collect::<Vec<_>>());
     }
 
     #[test]
     fn one_full_round_resume() {
         let n = 4;
-        let (handles, trigger, join) = spawn_coordinator(n, false);
-        trigger.checkpoint();
-        let threads: Vec<_> = handles
-            .into_iter()
-            .map(|h| {
-                std::thread::spawn(move || {
-                    // Wait for intent like a wrapper would.
-                    while !h.intent() {
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                    h.send(RankMsg::Ready {
-                        rank: h.rank(),
-                        in_collective: (h.rank() % 2 == 0).then_some(42),
-                    })
-                    .unwrap();
-                    assert_eq!(h.recv().unwrap(), CoordMsg::Go { round: 0 });
-                    h.send(RankMsg::CkptDone {
-                        rank: h.rank(),
-                        image_bytes: 100,
-                        image_crc: 0,
-                        logical_bytes: 100,
-                    })
-                    .unwrap();
-                    assert_eq!(h.recv().unwrap(), CoordMsg::Resume);
-                    assert!(!h.intent(), "intent cleared after resume");
-                    assert_eq!(h.round(), 1);
-                    h.send(RankMsg::Finishing { rank: h.rank() }).unwrap();
-                    assert_eq!(h.recv().unwrap(), CoordMsg::FinishAck);
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        let report = join.join().unwrap();
-        assert_eq!(report.rounds.len(), 1);
-        let r = &report.rounds[0];
-        assert_eq!(r.total_image_bytes, 400);
-        assert_eq!(r.gids_in_flight, vec![42]);
-        assert!(r.coord_msgs >= 3 * n as u64);
+        let mut m = RoundMachine::new(n, false, 0);
+        let out = drive(&mut m, vec![RankMsg::RequestCkpt], Ok(()));
+        assert_eq!(out.last(), Some(&Action::RaiseIntent));
+        assert!(m.in_round());
+        let out = drive(&mut m, ready(n), Ok(()));
+        assert_eq!(broadcasts(&out), vec![CoordMsg::Go { round: 0 }]);
+        let out = drive(&mut m, done(n, 100), Ok(()));
+        // Intent drops (and the round counter advances) before Resume.
+        let drop_at = out
+            .iter()
+            .position(|a| *a == Action::DropIntent { next_round: 1 });
+        let resume_at = out
+            .iter()
+            .position(|a| *a == Action::Broadcast(CoordMsg::Resume));
+        assert!(drop_at.unwrap() < resume_at.unwrap());
+        assert!(out.contains(&Action::Gc));
+        let stats = records(&out);
+        assert_eq!(stats.len(), 1);
+        assert_eq!(stats[0].total_image_bytes, 400);
+        assert_eq!(stats[0].gids_in_flight, vec![42]);
+        // Ready, Go, Done and Resume: four messages per rank.
+        assert_eq!(stats[0].coord_msgs, 4 * n as u64);
+        assert!(!m.in_round());
+        let out = drive(&mut m, finishing(n), Ok(()));
+        assert_eq!(out.last(), Some(&Action::Finish));
     }
 
     #[test]
-    fn exit_after_ckpt_sends_exit() {
-        let n = 2;
-        let (handles, trigger, join) = spawn_coordinator(n, true);
-        trigger.checkpoint();
-        let threads: Vec<_> = handles
-            .into_iter()
-            .map(|h| {
-                std::thread::spawn(move || {
-                    while !h.intent() {
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                    h.send(RankMsg::Ready {
-                        rank: h.rank(),
-                        in_collective: None,
-                    })
-                    .unwrap();
-                    assert!(matches!(h.recv().unwrap(), CoordMsg::Go { .. }));
-                    h.send(RankMsg::CkptDone {
-                        rank: h.rank(),
-                        image_bytes: 10,
-                        image_crc: 0,
-                        logical_bytes: 10,
-                    })
-                    .unwrap();
-                    assert_eq!(h.recv().unwrap(), CoordMsg::Exit);
-                    // Exiting ranks still announce Finishing so the
-                    // coordinator can wind down.
-                    h.send(RankMsg::Finishing { rank: h.rank() }).unwrap();
-                    assert_eq!(h.recv().unwrap(), CoordMsg::FinishAck);
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        let report = join.join().unwrap();
-        assert_eq!(report.rounds.len(), 1);
+    fn commit_asks_for_the_manifest_of_every_rank() {
+        let mut m = RoundMachine::new(2, false, 7);
+        let msgs = [vec![RankMsg::RequestCkpt], ready(2), done(2, 9)].concat();
+        let out = drive(&mut m, msgs, Ok(()));
+        let manifest = out.iter().find_map(|a| match a {
+            Action::Commit(man) => Some(man.clone()),
+            _ => None,
+        });
+        let manifest = manifest.expect("commit requested");
+        assert_eq!((manifest.round, manifest.world_size), (7, 2));
+        assert_eq!(manifest.entries.len(), 2);
+        assert_eq!(manifest.entries[1].rank, 1);
+    }
+
+    #[test]
+    fn exit_after_ckpt_sends_exit_and_skips_later_requests() {
+        let mut m = RoundMachine::new(2, true, 0);
+        let msgs = [vec![RankMsg::RequestCkpt], ready(2), done(2, 10)].concat();
+        let out = drive(&mut m, msgs, Ok(()));
+        assert_eq!(broadcasts(&out).last(), Some(&CoordMsg::Exit));
+        assert!(drive(&mut m, vec![RankMsg::RequestCkpt], Ok(())).is_empty());
+        assert_eq!(m.skipped_requests(), 1);
+        // Exiting ranks still announce Finishing so the coordinator can
+        // wind down.
+        let out = drive(&mut m, finishing(2), Ok(()));
+        assert_eq!(out.last(), Some(&Action::Finish));
+    }
+
+    #[test]
+    fn finishing_during_quiesce_counts_as_ready() {
+        let mut m = RoundMachine::new(2, false, 0);
+        let msgs = vec![
+            RankMsg::RequestCkpt,
+            RankMsg::Finishing { rank: 0 },
+            RankMsg::Ready {
+                rank: 1,
+                in_collective: None,
+            },
+        ];
+        let out = drive(&mut m, msgs, Ok(()));
+        assert_eq!(broadcasts(&out), vec![CoordMsg::Go { round: 0 }]);
+    }
+
+    #[test]
+    fn concurrent_requests_coalesce_into_the_running_round() {
+        let mut m = RoundMachine::new(1, false, 0);
+        let msgs = vec![RankMsg::RequestCkpt, RankMsg::RequestCkpt];
+        let out = drive(&mut m, msgs, Ok(()));
+        assert_eq!(out.iter().filter(|a| **a == Action::RaiseIntent).count(), 1);
+        assert_eq!(m.skipped_requests(), 1);
     }
 
     #[test]
     fn legacy_drain_rounds_answered() {
-        let n = 2;
-        let (handles, trigger, join) = spawn_coordinator(n, false);
-        trigger.checkpoint();
-        let threads: Vec<_> = handles
-            .into_iter()
-            .map(|h| {
-                std::thread::spawn(move || {
-                    while !h.intent() {
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                    h.send(RankMsg::Ready {
-                        rank: h.rank(),
-                        in_collective: None,
-                    })
-                    .unwrap();
-                    assert!(matches!(h.recv().unwrap(), CoordMsg::Go { .. }));
-                    // Round 1: unbalanced (rank 0 sent 10, nobody received).
-                    h.send(RankMsg::DrainReport {
-                        rank: h.rank(),
-                        sent: if h.rank() == 0 { 10 } else { 0 },
-                        recvd: 0,
-                    })
-                    .unwrap();
-                    assert_eq!(
-                        h.recv().unwrap(),
-                        CoordMsg::DrainVerdict { balanced: false }
-                    );
-                    // Round 2: balanced.
-                    h.send(RankMsg::DrainReport {
-                        rank: h.rank(),
-                        sent: if h.rank() == 0 { 10 } else { 0 },
-                        recvd: if h.rank() == 1 { 10 } else { 0 },
-                    })
-                    .unwrap();
-                    assert_eq!(h.recv().unwrap(), CoordMsg::DrainVerdict { balanced: true });
-                    h.send(RankMsg::CkptDone {
-                        rank: h.rank(),
-                        image_bytes: 1,
-                        image_crc: 0,
-                        logical_bytes: 1,
-                    })
-                    .unwrap();
-                    assert_eq!(h.recv().unwrap(), CoordMsg::Resume);
-                    h.send(RankMsg::Finishing { rank: h.rank() }).unwrap();
-                    assert_eq!(h.recv().unwrap(), CoordMsg::FinishAck);
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        let report = join.join().unwrap();
-        assert_eq!(report.rounds.len(), 1);
-        // Legacy drain cost shows up in the message counter: 2 reports + 2
-        // verdicts per round × 2 rounds on top of the base 3-per-rank.
-        assert!(report.rounds[0].coord_msgs > 3 * n as u64);
-    }
-
-    #[test]
-    fn topo_order_respects_one_way_traffic() {
-        // 0 → 1 → 2 in flight: the order must place 0 before 1 before 2.
-        let sent = vec![vec![0, 10, 0], vec![0, 0, 5], vec![0, 0, 0]];
-        let recvd = vec![vec![0; 3]; 3];
-        let plan = topo_order(&sent, &recvd);
-        assert_eq!(plan.order, vec![0, 1, 2]);
-        assert_eq!(plan.edges, 2);
-        assert!(!plan.cyclic);
-    }
-
-    #[test]
-    fn topo_order_ignores_settled_traffic() {
-        // Everything sent was already received: no edges, identity order.
-        let sent = vec![vec![0, 8], vec![3, 0]];
-        let recvd = vec![vec![0, 3], vec![8, 0]];
-        let plan = topo_order(&sent, &recvd);
-        assert_eq!(plan.edges, 0);
-        assert!(!plan.cyclic);
-        assert_eq!(plan.order, vec![0, 1]);
-    }
-
-    #[test]
-    fn topo_order_breaks_cycles_deterministically() {
-        // Mutual in-flight traffic 0 ⇄ 1: a cycle, broken smallest-first.
-        let sent = vec![vec![0, 4], vec![4, 0]];
-        let recvd = vec![vec![0; 2]; 2];
-        let plan = topo_order(&sent, &recvd);
-        assert!(plan.cyclic);
-        assert_eq!(plan.edges, 2);
-        assert_eq!(plan.order, vec![0, 1]);
+        let mut m = RoundMachine::new(2, false, 0);
+        drive(
+            &mut m,
+            [vec![RankMsg::RequestCkpt], ready(2)].concat(),
+            Ok(()),
+        );
+        let report = |rank, sent, recvd| RankMsg::DrainReport { rank, sent, recvd };
+        // Exchange 1: unbalanced (rank 0 sent 10, nobody received).
+        let out = drive(&mut m, vec![report(0, 10, 0), report(1, 0, 0)], Ok(()));
+        assert_eq!(
+            broadcasts(&out),
+            vec![CoordMsg::DrainVerdict { balanced: false }]
+        );
+        // Exchange 2: balanced.
+        let out = drive(&mut m, vec![report(0, 10, 0), report(1, 0, 10)], Ok(()));
+        assert_eq!(
+            broadcasts(&out),
+            vec![CoordMsg::DrainVerdict { balanced: true }]
+        );
+        let stats = records(&drive(&mut m, done(2, 1), Ok(())));
+        // 2 reports + 2 verdicts per exchange on top of the base four per
+        // rank.
+        assert_eq!(stats[0].coord_msgs, 4 * 2 + 2 * (2 + 2));
     }
 
     #[test]
     fn toposort_rows_answered_with_exact_columns() {
         let n = 2;
-        let (handles, trigger, join) = spawn_coordinator(n, false);
-        trigger.checkpoint();
-        let threads: Vec<_> = handles
-            .into_iter()
-            .map(|h| {
-                std::thread::spawn(move || {
-                    while !h.intent() {
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                    h.send(RankMsg::Ready {
-                        rank: h.rank(),
-                        in_collective: None,
-                    })
-                    .unwrap();
-                    assert!(matches!(h.recv().unwrap(), CoordMsg::Go { .. }));
-                    // Rank 0 has 10 bytes in flight to rank 1; nothing else.
-                    h.send(RankMsg::DrainRows {
-                        rank: h.rank(),
-                        sent: if h.rank() == 0 {
-                            vec![0, 10]
-                        } else {
-                            vec![0, 0]
-                        },
-                        recvd: vec![0, 0],
-                    })
-                    .unwrap();
-                    match h.recv().unwrap() {
-                        CoordMsg::DrainSchedule {
-                            expected,
-                            order,
-                            edges,
-                            cyclic,
-                        } => {
-                            // Each rank gets its own column of the sent
-                            // matrix, and the sender precedes the receiver.
-                            if h.rank() == 0 {
-                                assert_eq!(expected, vec![0, 0]);
-                                assert_eq!(order, 0);
-                            } else {
-                                assert_eq!(expected, vec![10, 0]);
-                                assert_eq!(order, 1);
-                            }
-                            assert_eq!(edges, 1);
-                            assert!(!cyclic);
-                        }
-                        other => panic!("expected DrainSchedule, got {other:?}"),
-                    }
-                    h.send(RankMsg::CkptDone {
-                        rank: h.rank(),
-                        image_bytes: 1,
-                        image_crc: 0,
-                        logical_bytes: 1,
-                    })
-                    .unwrap();
-                    assert_eq!(h.recv().unwrap(), CoordMsg::Resume);
-                    h.send(RankMsg::Finishing { rank: h.rank() }).unwrap();
-                    assert_eq!(h.recv().unwrap(), CoordMsg::FinishAck);
-                })
+        let mut m = RoundMachine::new(n, false, 0);
+        drive(
+            &mut m,
+            [vec![RankMsg::RequestCkpt], ready(n)].concat(),
+            Ok(()),
+        );
+        let rows = |rank, sent| RankMsg::DrainRows {
+            rank,
+            sent,
+            recvd: vec![0, 0],
+        };
+        let out = drive(
+            &mut m,
+            vec![rows(0, vec![0, 10]), rows(1, vec![0, 0])],
+            Ok(()),
+        );
+        let sends: Vec<usize> = (out.iter())
+            .filter_map(|a| match a {
+                Action::Send(r, CoordMsg::DrainSchedule { .. }) => Some(*r),
+                _ => None,
             })
             .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        let report = join.join().unwrap();
-        assert_eq!(report.rounds.len(), 1);
-        // Topo drain costs exactly 2 extra messages per rank on top of
-        // the base Ready/Go/Done/Resume four.
-        assert_eq!(report.rounds[0].coord_msgs, 6 * n as u64);
+        assert_eq!(sends, vec![0, 1]);
+        assert!(out.contains(&Action::Begin(0, CoordPhase::DrainPlan)));
+        assert!(out.contains(&Action::Count(met::DRAIN_TOPO_EDGES, 1)));
+        let stats = records(&drive(&mut m, done(n, 1), Ok(())));
+        // Topo drain costs exactly 2 extra messages per rank.
+        assert_eq!(stats[0].coord_msgs, 6 * n as u64);
     }
 
     #[test]
-    fn commit_check_failure_is_recorded() {
-        let n = 2;
-        let check: CommitCheck =
-            Box::new(|round| Err(format!("synthetic violation in round {round}")));
-        let (handles, trigger, join) =
-            spawn_coordinator_ext(n, false, None, Some(check), None, 0, None, None, None);
-        trigger.checkpoint();
-        let threads: Vec<_> = handles
-            .into_iter()
-            .map(|h| {
-                std::thread::spawn(move || {
-                    while !h.intent() {
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                    h.send(RankMsg::Ready {
-                        rank: h.rank(),
-                        in_collective: None,
-                    })
-                    .unwrap();
-                    assert!(matches!(h.recv().unwrap(), CoordMsg::Go { .. }));
-                    h.send(RankMsg::CkptDone {
-                        rank: h.rank(),
-                        image_bytes: 1,
-                        image_crc: 0,
-                        logical_bytes: 1,
-                    })
-                    .unwrap();
-                    assert_eq!(h.recv().unwrap(), CoordMsg::Resume);
-                    h.send(RankMsg::Finishing { rank: h.rank() }).unwrap();
-                    assert_eq!(h.recv().unwrap(), CoordMsg::FinishAck);
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        let report = join.join().unwrap();
-        assert_eq!(report.rounds.len(), 1);
-        assert_eq!(report.invariant_violations.len(), 1);
-        assert!(report.invariant_violations[0].contains("round 0"));
-    }
-
-    #[test]
-    fn ckpt_failed_aborts_round_and_all_ranks_resume() {
+    fn ckpt_failed_aborts_round_even_in_exit_mode() {
         let n = 3;
-        // Even in exit-after-checkpoint mode, a failed round must NOT
-        // exit: the job resumes and may checkpoint again later.
-        let (handles, trigger, join) = spawn_coordinator(n, true);
-        trigger.checkpoint();
-        let threads: Vec<_> = handles
-            .into_iter()
-            .map(|h| {
-                std::thread::spawn(move || {
-                    while !h.intent() {
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                    h.send(RankMsg::Ready {
-                        rank: h.rank(),
-                        in_collective: None,
-                    })
-                    .unwrap();
-                    assert!(matches!(h.recv().unwrap(), CoordMsg::Go { .. }));
-                    if h.rank() == 1 {
-                        h.send(RankMsg::CkptFailed {
-                            rank: 1,
-                            reason: "injected storage write error".into(),
-                        })
-                        .unwrap();
-                    } else {
-                        h.send(RankMsg::CkptDone {
-                            rank: h.rank(),
-                            image_bytes: 10,
-                            image_crc: 0,
-                            logical_bytes: 10,
-                        })
-                        .unwrap();
-                    }
-                    // Every rank — including the successful ones — gets
-                    // AbortRound, not Exit, and resumes.
-                    assert_eq!(h.recv().unwrap(), CoordMsg::AbortRound { round: 0 });
-                    assert!(!h.intent(), "intent cleared after abort");
-                    assert_eq!(
-                        h.round(),
-                        1,
-                        "round counter advances past the aborted round"
-                    );
-                    h.send(RankMsg::Finishing { rank: h.rank() }).unwrap();
-                    assert_eq!(h.recv().unwrap(), CoordMsg::FinishAck);
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        let report = join.join().unwrap();
-        assert!(
-            report.rounds.is_empty(),
-            "aborted round is not a completed round"
+        // A failed round must NOT exit: the job resumes and may
+        // checkpoint again later.
+        let mut m = RoundMachine::new(n, true, 0);
+        let mut msgs = [vec![RankMsg::RequestCkpt], ready(n), done(n, 10)].concat();
+        msgs[n + 2] = RankMsg::CkptFailed {
+            rank: 1,
+            reason: "injected storage write error".into(),
+        };
+        let out = drive(&mut m, msgs, Ok(()));
+        assert!(!out.iter().any(|a| matches!(a, Action::Commit(_))));
+        assert_eq!(
+            broadcasts(&out).last(),
+            Some(&CoordMsg::AbortRound { round: 0 })
         );
-        assert_eq!(report.aborted_rounds.len(), 1);
-        assert_eq!(report.aborted_rounds[0].round, 0);
-        assert_eq!(report.aborted_rounds[0].failures.len(), 1);
-        assert_eq!(report.aborted_rounds[0].failures[0].0, 1);
+        assert!(out.contains(&Action::DropIntent { next_round: 1 }));
+        let ab = aborts(&out);
+        assert_eq!((ab[0].round, ab[0].failures[0].0), (0, 1));
+        assert!(records(&out).is_empty());
+        // The job goes on: the next request starts round 1.
+        let out = drive(&mut m, vec![RankMsg::RequestCkpt], Ok(()));
+        assert!(out.contains(&Action::Begin(1, CoordPhase::Quiesce)));
     }
 
     #[test]
-    fn committed_round_writes_manifest_and_gc_runs() {
-        let n = 2;
-        let root = std::env::temp_dir().join(format!("mana2_coord_store_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
-        // Pre-write the images the ranks will claim, so the manifest the
-        // coordinator commits validates against real files.
-        let mut crcs = Vec::new();
-        for rank in 0..n {
-            let img = splitproc::CkptImage {
-                rank,
-                world_size: n,
-                round: 0,
-                upper: vec![7; 32],
-                meta: vec![1; 8],
-            };
-            let out =
-                store::write_image(&root, &img, &store::StoreConfig::default(), None).unwrap();
-            crcs.push((out.bytes as u64, out.crc));
-        }
-        let (handles, trigger, join) = spawn_coordinator_ext(
-            n,
-            false,
-            None,
-            None,
-            Some(CoordStore {
-                root: root.clone(),
-                retain: 2,
-                store: store::StoreConfig::default(),
-            }),
-            0,
-            None,
-            None,
-            None,
+    fn manifest_failure_aborts_round() {
+        let mut m = RoundMachine::new(2, false, 0);
+        let msgs = [vec![RankMsg::RequestCkpt], ready(2), done(2, 1)].concat();
+        let out = drive(&mut m, msgs, Err("disk full".into()));
+        assert_eq!(
+            broadcasts(&out).last(),
+            Some(&CoordMsg::AbortRound { round: 0 })
         );
-        trigger.checkpoint();
-        let threads: Vec<_> = handles
-            .into_iter()
-            .map(|h| {
-                let (bytes, crc) = crcs[h.rank()];
-                std::thread::spawn(move || {
-                    while !h.intent() {
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                    h.send(RankMsg::Ready {
-                        rank: h.rank(),
-                        in_collective: None,
-                    })
-                    .unwrap();
-                    assert!(matches!(h.recv().unwrap(), CoordMsg::Go { .. }));
-                    h.send(RankMsg::CkptDone {
-                        rank: h.rank(),
-                        image_bytes: bytes,
-                        image_crc: crc,
-                        logical_bytes: bytes,
-                    })
-                    .unwrap();
-                    assert_eq!(h.recv().unwrap(), CoordMsg::Resume);
-                    h.send(RankMsg::Finishing { rank: h.rank() }).unwrap();
-                    assert_eq!(h.recv().unwrap(), CoordMsg::FinishAck);
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        let report = join.join().unwrap();
-        assert_eq!(report.rounds.len(), 1);
-        // The generation is now committed and selectable.
-        let sel = store::select_generation(&root, Some(n)).unwrap();
-        assert_eq!(sel.round, 0);
-        std::fs::remove_dir_all(&root).ok();
+        let ab = aborts(&out);
+        assert_eq!(ab[0].failures[0].0, usize::MAX);
+        assert!(ab[0].failures[0].1.contains("disk full"));
     }
 
     #[test]
     fn request_after_finish_is_skipped() {
-        let n = 1;
-        let (handles, trigger, join) = spawn_coordinator(n, false);
-        let h = &handles[0];
-        h.send(RankMsg::Finishing { rank: 0 }).unwrap();
-        assert_eq!(h.recv().unwrap(), CoordMsg::FinishAck);
-        trigger.checkpoint();
-        // Coordinator exits since all finished; request may land before or
-        // after the loop ends — either way no round ran.
-        let report = join.join().unwrap();
-        assert!(report.rounds.is_empty());
+        let mut m = RoundMachine::new(2, false, 0);
+        drive(&mut m, vec![RankMsg::Finishing { rank: 0 }], Ok(()));
+        assert!(drive(&mut m, vec![RankMsg::RequestCkpt], Ok(())).is_empty());
+        assert_eq!(m.skipped_requests(), 1);
+    }
+
+    #[test]
+    fn protocol_breaches_are_typed_errors() {
+        let mut m = RoundMachine::new(2, false, 0);
+        let stray = m.step(done(1, 1).remove(0));
+        assert!(matches!(stray, Err(CoordError::Stray(_))), "{stray:?}");
+
+        let mut m = RoundMachine::new(2, false, 0);
+        drive(&mut m, vec![RankMsg::RequestCkpt], Ok(()));
+        drive(&mut m, ready(1), Ok(()));
+        let twice = m.step(ready(1).remove(0));
+        assert!(matches!(twice, Err(CoordError::Protocol(s)) if s.starts_with("round 0")));
+
+        let mut m = RoundMachine::new(2, false, 0);
+        drive(
+            &mut m,
+            [vec![RankMsg::RequestCkpt], ready(2)].concat(),
+            Ok(()),
+        );
+        drive(&mut m, done(1, 1), Ok(()));
+        let dup = m.step(done(1, 1).remove(0));
+        assert_eq!(dup, Err(CoordError::DuplicateDone { round: 0, rank: 0 }));
+        let early = m.step(RankMsg::Finishing { rank: 1 });
+        assert!(matches!(early, Err(CoordError::Protocol(_))));
+        let alien = m.step(RankMsg::CkptFailed {
+            rank: 9,
+            reason: String::new(),
+        });
+        assert!(matches!(alien, Err(CoordError::Protocol(_))));
+    }
+
+    #[test]
+    fn timeout_names_the_missing_ranks() {
+        let mut m = RoundMachine::new(3, false, 4);
+        drive(&mut m, vec![RankMsg::RequestCkpt], Ok(()));
+        drive(&mut m, vec![ready(3).remove(2)], Ok(()));
+        let want = |phase, missing_ranks| CoordError::RoundTimeout {
+            round: 4,
+            phase,
+            missing_ranks,
+        };
+        assert_eq!(m.timeout(), want("quiesce", vec![0, 1]));
+        drive(&mut m, ready(2), Ok(()));
+        drive(&mut m, vec![done(2, 1).remove(1)], Ok(()));
+        assert_eq!(m.timeout(), want("write", vec![0, 2]));
+    }
+
+    /// A shell on its own thread for `n` ranks, storing into `dir`: the
+    /// coordinator's inbox, each rank's receiver, and the join handle.
+    #[allow(clippy::type_complexity)]
+    fn bare_shell(
+        n: usize,
+        dir: &std::path::Path,
+        deadline: Duration,
+        check: CommitCheck,
+    ) -> (
+        Sender<RankMsg>,
+        Vec<Receiver<CoordMsg>>,
+        JoinHandle<Result<CoordReport, CoordError>>,
+    ) {
+        let (tx, rx) = mpsc::channel();
+        let world = World::new(n, mpisim::WorldCfg::default());
+        let (ports, rxs): (Vec<_>, Vec<_>) = (world.unparkers().into_iter())
+            .map(|waker| {
+                let (tx, rx) = mpsc::channel();
+                (RankPort { tx, waker }, rx)
+            })
+            .unzip();
+        let cfg = ManaConfig {
+            ckpt_dir: dir.to_path_buf(),
+            ..ManaConfig::default()
+        };
+        let shell = Shell::new(cfg, ports, Arc::default(), Arc::default(), check);
+        let machine = RoundMachine::new(n, false, 0);
+        let join = std::thread::spawn(move || shell.run(machine, rx, deadline));
+        (tx, rxs, join)
+    }
+
+    fn scratch(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("mana2_{name}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// Run one full round and the goodbye through a bare shell.
+    fn full_round(tx: &Sender<RankMsg>, rxs: &[Receiver<CoordMsg>], images: &[(u64, u32)]) {
+        tx.send(RankMsg::RequestCkpt).unwrap();
+        for msg in ready(rxs.len()) {
+            tx.send(msg).unwrap();
+        }
+        for (rank, rx) in rxs.iter().enumerate() {
+            assert_eq!(rx.recv().unwrap(), CoordMsg::Go { round: 0 });
+            let (bytes, crc) = images[rank];
+            tx.send(RankMsg::CkptDone {
+                rank,
+                image_bytes: bytes,
+                image_crc: crc,
+                logical_bytes: bytes,
+            })
+            .unwrap();
+        }
+        for (rank, rx) in rxs.iter().enumerate() {
+            assert_eq!(rx.recv().unwrap(), CoordMsg::Resume);
+            tx.send(RankMsg::Finishing { rank }).unwrap();
+            assert_eq!(rx.recv().unwrap(), CoordMsg::FinishAck);
+        }
+    }
+
+    #[test]
+    fn idle_gap_longer_than_the_round_deadline_is_not_a_timeout() {
+        let deadline = Duration::from_millis(20);
+        let dir = scratch("coord_idle_gap");
+        let (tx, rxs, join) = bare_shell(2, &dir, deadline, Box::new(|_| Ok(())));
+        // Silence well past the deadline outside any round: the old loop
+        // quit here and lost every later Finishing.
+        std::thread::sleep(deadline * 5);
+        full_round(&tx, &rxs, &[(1, 0), (1, 0)]);
+        let report = join.join().unwrap().expect("coordinator ran to completion");
+        assert_eq!(report.rounds.len(), 1);
+        assert!(report.rounds[0].quiesce > Duration::ZERO);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn withheld_ready_is_a_round_timeout_naming_the_rank() {
+        let dir = scratch("coord_timeout");
+        let deadline = Duration::from_millis(20);
+        let (tx, _rxs, join) = bare_shell(3, &dir, deadline, Box::new(|_| Ok(())));
+        tx.send(RankMsg::RequestCkpt).unwrap();
+        for rank in [0, 2] {
+            tx.send(ready(3).remove(rank)).unwrap();
+        }
+        let err = join.join().unwrap().expect_err("rank 1 never got ready");
+        assert_eq!(
+            err,
+            CoordError::RoundTimeout {
+                round: 0,
+                phase: "quiesce",
+                missing_ranks: vec![1],
+            }
+        );
+    }
+
+    #[test]
+    fn commit_writes_manifest_and_records_check_failures() {
+        let n = 2;
+        let root = scratch("coord_store");
+        // Pre-write the images the ranks claim, so the manifest the
+        // coordinator commits validates against real files.
+        let images: Vec<(u64, u32)> = (0..n)
+            .map(|rank| {
+                let img = splitproc::CkptImage {
+                    rank,
+                    world_size: n,
+                    round: 0,
+                    upper: vec![7; 32],
+                    meta: vec![1; 8],
+                };
+                let cfg = store::StoreConfig::default();
+                let out = store::write_image(&root, &img, &cfg, None).unwrap();
+                (out.bytes as u64, out.crc)
+            })
+            .collect();
+        let check = Box::new(|round| Err(format!("synthetic in {round}")));
+        let (tx, rxs, join) = bare_shell(n, &root, ROUND_TIMEOUT, check);
+        full_round(&tx, &rxs, &images);
+        let report = join.join().unwrap().unwrap();
+        assert_eq!(report.rounds.len(), 1);
+        assert_eq!(report.invariant_violations, vec!["round 0: synthetic in 0"]);
+        // The generation is now committed and selectable.
+        let sel = store::select_generation(&root, Some(n)).unwrap();
+        assert_eq!(sel.round, 0);
+        std::fs::remove_dir_all(&root).ok();
     }
 }

@@ -1,8 +1,7 @@
 //! Pluggable quiesce protocols for the checkpoint window.
 //!
-//! The checkpoint drain — the step that pulls every in-flight message out
-//! of the network before an image is written (paper §III-B) — used to be
-//! hard-wired into `mana_ckpt`/`mana_coll`. It is now a [`DrainStrategy`]
+//! The checkpoint drain pulls every in-flight message out of the network
+//! before an image is written (paper §III-B). It is a [`DrainStrategy`]
 //! with three implementations:
 //!
 //! * [`AlltoallDrain`] — MANA-2.0's protocol: one `MPI_Alltoall` of
@@ -11,16 +10,15 @@
 //! * [`CoordinatorDrain`] — the original MANA baseline: global totals
 //!   round-tripped through the centralized coordinator until they balance.
 //! * [`TopoSortDrain`] — the 2024 follow-up (arXiv 2408.02218): each rank
-//!   ships its sent/received rows to the coordinator once; the
-//!   coordinator topologically orders the in-flight send→receive
-//!   dependency graph and answers with each rank's exact expected-bytes
-//!   column. The count exchange costs two coordinator messages per rank
-//!   instead of the alltoall's O(n²) fabric traffic, and — because the
-//!   quiesce never runs a collective — no collective-emulation machinery
-//!   or pre-collective 2PC barrier is needed at all.
+//!   ships its sent/received rows to the coordinator once and gets back
+//!   its exact expected-bytes column. Two coordinator messages per rank
+//!   instead of the alltoall's O(n²) fabric traffic, and no collective,
+//!   so no pre-collective 2PC barrier either.
 //!
 //! Strategy selection is [`crate::config::ManaConfig::drain`], overridable
-//! with `MANA2_DRAIN=alltoall|toposort|coordinator`.
+//! with `MANA2_DRAIN=alltoall|toposort|coordinator`. The coordinator half
+//! of each coordinator-mediated protocol lives here too, as a plain
+//! function ([`totals_balanced`], [`topo_schedules`]).
 
 use crate::config::{DrainMode, TpcMode};
 use crate::coordinator::{CoordMsg, RankMsg};
@@ -62,53 +60,51 @@ pub fn strategy_for(mode: DrainMode) -> &'static dyn DrainStrategy {
     }
 }
 
-/// The per-strategy quiesce-latency histogram.
-pub(crate) fn quiesce_hist(mode: DrainMode) -> met::MetricId {
+/// The per-strategy quiesce-latency histogram and completed-quiesce
+/// counter.
+pub(crate) fn strategy_metrics(mode: DrainMode) -> (met::MetricId, met::MetricId) {
     match mode {
-        DrainMode::Alltoall => met::DRAIN_ALLTOALL_QUIESCE_NS,
-        DrainMode::Coordinator => met::DRAIN_COORDINATOR_QUIESCE_NS,
-        DrainMode::TopoSort => met::DRAIN_TOPOSORT_QUIESCE_NS,
-    }
-}
-
-/// The per-strategy completed-quiesce counter.
-pub(crate) fn rounds_counter(mode: DrainMode) -> met::MetricId {
-    match mode {
-        DrainMode::Alltoall => met::DRAIN_ROUNDS_ALLTOALL,
-        DrainMode::Coordinator => met::DRAIN_ROUNDS_COORDINATOR,
-        DrainMode::TopoSort => met::DRAIN_ROUNDS_TOPOSORT,
+        DrainMode::Alltoall => (met::DRAIN_ALLTOALL_QUIESCE_NS, met::DRAIN_ROUNDS_ALLTOALL),
+        DrainMode::Coordinator => (
+            met::DRAIN_COORDINATOR_QUIESCE_NS,
+            met::DRAIN_ROUNDS_COORDINATOR,
+        ),
+        DrainMode::TopoSort => (met::DRAIN_TOPOSORT_QUIESCE_NS, met::DRAIN_ROUNDS_TOPOSORT),
     }
 }
 
 /// Sweep until every per-peer deficit against `expected` reaches zero.
-/// Shared by every strategy that knows its exact expected column
-/// (`u64::MAX` entries model the coordinator drain's "everything
-/// receivable" sweeps).
+/// Shared by every strategy that knows its exact expected column.
 fn sweep_until_settled(m: &mut Mana<'_>, expected: &[u64]) -> Result<()> {
-    let round = m.round as i64 - 1;
     let mut sweep = 0u32;
-    loop {
-        if m.p2p.deficits(expected).iter().all(|&d| d == 0) {
-            return Ok(());
-        }
-        m.stats.drain_sweeps += 1;
-        m.m_add(met::DRAIN_SWEEPS, 1);
+    while m.p2p.deficits(expected).iter().any(|&d| d != 0) {
         sweep += 1;
-        if let Some(r) = &m.rec {
-            r.begin(round, Phase::Drain { sweep });
-        }
-        let t = std::time::Instant::now();
-        let progress = m.drain_sweep(expected)?;
-        m.m_observe(met::DRAIN_SWEEP_NS, t.elapsed().as_nanos() as u64);
-        if let Some(r) = &m.rec {
-            r.end(round, Phase::Drain { sweep });
-        }
-        if !progress {
-            // Nothing receivable this instant: the bytes are in transit
-            // between another rank's send and our mailbox. Park briefly.
-            m.lh.sched_park(m.cfg.poll_interval)?;
-        }
+        sweep_once(m, expected, sweep)?;
     }
+    Ok(())
+}
+
+/// One traced, timed drain sweep (`u64::MAX` entries in `expected` sweep
+/// everything receivable from that peer).
+fn sweep_once(m: &mut Mana<'_>, expected: &[u64], sweep: u32) -> Result<()> {
+    let round = m.round as i64 - 1;
+    m.stats.drain_sweeps += 1;
+    m.m_add(met::DRAIN_SWEEPS, 1);
+    if let Some(r) = &m.rec {
+        r.begin(round, Phase::Drain { sweep });
+    }
+    let t = std::time::Instant::now();
+    let progress = m.drain_sweep(expected)?;
+    m.m_observe(met::DRAIN_SWEEP_NS, t.elapsed().as_nanos() as u64);
+    if let Some(r) = &m.rec {
+        r.end(round, Phase::Drain { sweep });
+    }
+    if !progress {
+        // Nothing receivable this instant: the bytes are in transit
+        // between another rank's send and our mailbox. Park briefly.
+        m.lh.sched_park(m.cfg.poll_interval)?;
+    }
+    Ok(())
 }
 
 /// MANA-2.0 drain: one alltoall of sent rows, then purely local work.
@@ -163,31 +159,22 @@ impl DrainStrategy for CoordinatorDrain {
             match verdict {
                 CoordMsg::DrainVerdict { balanced: true } => return Ok(()),
                 CoordMsg::DrainVerdict { balanced: false } => {
-                    m.stats.drain_sweeps += 1;
-                    m.m_add(met::DRAIN_SWEEPS, 1);
-                    sweep += 1;
-                    if let Some(r) = &m.rec {
-                        r.begin(round, Phase::Drain { sweep });
-                    }
                     // No per-pair information: sweep everything receivable.
-                    let all = vec![u64::MAX; m.world_size()];
-                    let t = std::time::Instant::now();
-                    let progress = m.drain_sweep(&all)?;
-                    m.m_observe(met::DRAIN_SWEEP_NS, t.elapsed().as_nanos() as u64);
-                    if let Some(r) = &m.rec {
-                        r.end(round, Phase::Drain { sweep });
-                    }
-                    if !progress {
-                        m.lh.sched_park(m.cfg.poll_interval)?;
-                    }
+                    sweep += 1;
+                    sweep_once(m, &vec![u64::MAX; m.world_size()], sweep)?;
                 }
-                other => {
-                    debug_assert!(false, "unexpected drain reply: {other:?}");
-                    return Err(ManaError::CoordinatorGone);
-                }
+                other => return Err(ManaError::unexpected(other, "DrainVerdict")),
             }
         }
     }
+}
+
+/// Coordinator half of [`CoordinatorDrain`]: the legacy verdict is
+/// "balanced" once global sent bytes equal global received bytes over one
+/// complete set of per-rank `(sent, recvd)` totals.
+pub(crate) fn totals_balanced<'a>(totals: impl Iterator<Item = &'a (u64, u64)>) -> bool {
+    let (sent, recvd) = totals.fold((0u64, 0u64), |(s, r), t| (s + t.0, r + t.1));
+    sent == recvd
 }
 
 /// Topological-sort drain (arXiv 2408.02218): one rows→schedule round
@@ -217,10 +204,7 @@ impl DrainStrategy for TopoSortDrain {
                 edges,
                 cyclic,
             } => (expected, order, edges, cyclic),
-            other => {
-                debug_assert!(false, "unexpected while awaiting schedule: {other:?}");
-                return Err(ManaError::CoordinatorGone);
-            }
+            other => return Err(ManaError::unexpected(other, "DrainSchedule")),
         };
         if let Some(r) = &m.rec {
             r.end(round, Phase::DrainExchange);
@@ -236,14 +220,84 @@ impl DrainStrategy for TopoSortDrain {
         sweep_until_settled(m, &expected)
     }
 
-    /// Never a barrier: the topo-sort quiesce orders in-flight traffic
-    /// from the `P2pLog` rows alone, so there is nothing for a phase-1
-    /// barrier to synchronize — this is exactly the collective-emulation
-    /// machinery the protocol exists to avoid, even under
-    /// `TpcMode::Original`.
+    /// Never a barrier, even under `TpcMode::Original`: the topo-sort
+    /// quiesce runs no collective, so a phase-1 barrier has nothing to
+    /// synchronize.
     fn pre_collective(&self, _m: &mut Mana<'_>, _vc: VComm) -> Result<()> {
         Ok(())
     }
+}
+
+/// A topological plan over the in-flight send→receive dependency graph.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TopoPlan {
+    /// `order[r]` is rank `r`'s position in the topological order.
+    pub order: Vec<u32>,
+    /// Number of edges in the dependency graph.
+    pub edges: u64,
+    /// True when mutual in-flight traffic formed a cycle that the planner
+    /// broke (smallest rank first); the expected columns stay exact.
+    pub cyclic: bool,
+}
+
+/// Order ranks topologically by in-flight traffic (arXiv 2408.02218).
+///
+/// `sent[i][j]` / `recvd[j][i]` are the rows every rank shipped in its
+/// [`RankMsg::DrainRows`]; bytes in flight from `i` to `j` are
+/// `sent[i][j] − recvd[j][i]`, and each positive entry is an edge `i → j`
+/// ("`i`'s traffic must land before `j` is quiet"). Kahn's algorithm with
+/// deterministic smallest-rank-first selection; a cycle (mutual in-flight
+/// traffic) is broken by releasing the smallest remaining rank.
+pub fn topo_order(sent: &[Vec<u64>], recvd: &[Vec<u64>]) -> TopoPlan {
+    let n = sent.len();
+    let mut indeg = vec![0usize; n];
+    let mut out: Vec<Vec<usize>> = vec![Vec::new(); n];
+    let mut edges = 0u64;
+    let bytes = |rows: &[Vec<u64>], a: usize, b: usize| rows[a].get(b).copied().unwrap_or(0);
+    for (i, j) in (0..n).flat_map(|i| (0..n).map(move |j| (i, j))) {
+        if i != j && bytes(sent, i, j) > bytes(recvd, j, i) {
+            out[i].push(j);
+            indeg[j] += 1;
+            edges += 1;
+        }
+    }
+    let (mut order, mut placed, mut cyclic) = (vec![0u32; n], vec![false; n], false);
+    for pos in 0..n {
+        let free = (0..n).find(|&r| !placed[r] && indeg[r] == 0);
+        cyclic |= free.is_none();
+        let next = free
+            .or_else(|| (0..n).find(|&r| !placed[r]))
+            .expect("unplaced rank");
+        placed[next] = true;
+        order[next] = pos as u32;
+        for &j in &out[next] {
+            indeg[j] = indeg[j].saturating_sub(1);
+        }
+    }
+    TopoPlan {
+        order,
+        edges,
+        cyclic,
+    }
+}
+
+/// Coordinator half of [`TopoSortDrain`]: plan over every rank's rows and
+/// answer rank `j` with column `j` of the sent matrix — exactly the bytes
+/// each peer sent it — plus its place in the order.
+pub(crate) fn topo_schedules(sent: &[Vec<u64>], recvd: &[Vec<u64>]) -> (TopoPlan, Vec<CoordMsg>) {
+    let plan = topo_order(sent, recvd);
+    let msgs = (0..sent.len())
+        .map(|j| CoordMsg::DrainSchedule {
+            expected: sent
+                .iter()
+                .map(|row| row.get(j).copied().unwrap_or(0))
+                .collect(),
+            order: plan.order[j],
+            edges: plan.edges,
+            cyclic: plan.cyclic,
+        })
+        .collect();
+    (plan, msgs)
 }
 
 #[cfg(test)]
@@ -271,10 +325,64 @@ mod tests {
         for a in modes {
             for b in modes {
                 if a != b {
-                    assert_ne!(quiesce_hist(a), quiesce_hist(b));
-                    assert_ne!(rounds_counter(a), rounds_counter(b));
+                    let (qa, ra) = strategy_metrics(a);
+                    let (qb, rb) = strategy_metrics(b);
+                    assert!(qa != qb && ra != rb && qa != ra);
                 }
             }
         }
+    }
+
+    #[test]
+    fn totals_balance_only_when_sums_match() {
+        assert!(!totals_balanced([(10, 0), (0, 0)].iter()));
+        assert!(totals_balanced([(10, 0), (0, 10)].iter()));
+    }
+
+    #[test]
+    fn topo_order_respects_one_way_traffic() {
+        // 0 → 1 → 2 in flight: the order must place 0 before 1 before 2.
+        let sent = vec![vec![0, 10, 0], vec![0, 0, 5], vec![0, 0, 0]];
+        let recvd = vec![vec![0; 3]; 3];
+        let plan = topo_order(&sent, &recvd);
+        assert_eq!(plan.order, vec![0, 1, 2]);
+        assert_eq!(plan.edges, 2);
+        assert!(!plan.cyclic);
+    }
+
+    #[test]
+    fn topo_order_ignores_settled_traffic() {
+        // Everything sent was already received: no edges, identity order.
+        let sent = vec![vec![0, 8], vec![3, 0]];
+        let recvd = vec![vec![0, 3], vec![8, 0]];
+        let plan = topo_order(&sent, &recvd);
+        assert_eq!(plan.edges, 0);
+        assert!(!plan.cyclic);
+        assert_eq!(plan.order, vec![0, 1]);
+    }
+
+    #[test]
+    fn topo_order_breaks_cycles_deterministically() {
+        // Mutual in-flight traffic 0 ⇄ 1: a cycle, broken smallest-first.
+        let sent = vec![vec![0, 4], vec![4, 0]];
+        let recvd = vec![vec![0; 2]; 2];
+        let plan = topo_order(&sent, &recvd);
+        assert!(plan.cyclic);
+        assert_eq!(plan.edges, 2);
+        assert_eq!(plan.order, vec![0, 1]);
+    }
+
+    #[test]
+    fn topo_schedules_hand_each_rank_its_exact_column() {
+        // Rank 0 has 10 bytes in flight to rank 1; nothing else.
+        let (plan, msgs) = topo_schedules(&[vec![0, 10], vec![0, 0]], &[vec![0, 0], vec![0, 0]]);
+        assert_eq!(plan.edges, 1);
+        let expect = |expected: Vec<u64>, order| CoordMsg::DrainSchedule {
+            expected,
+            order,
+            edges: 1,
+            cyclic: false,
+        };
+        assert_eq!(msgs, vec![expect(vec![0, 0], 0), expect(vec![10, 0], 1)]);
     }
 }

@@ -43,6 +43,10 @@ pub enum ManaError {
     /// bug in the checkpoint protocol, never an application error — the
     /// chaos suite exists to surface these.
     InvariantViolation(String),
+    /// The coordinator answered with a message the rank's protocol does
+    /// not allow at this point; the payload names the expected and the
+    /// received message.
+    Protocol(String),
 }
 
 impl fmt::Display for ManaError {
@@ -68,6 +72,7 @@ impl fmt::Display for ManaError {
             ManaError::InvariantViolation(s) => {
                 write!(f, "checkpoint invariant violated: {s}")
             }
+            ManaError::Protocol(s) => write!(f, "coordinator protocol violation: {s}"),
         }
     }
 }
@@ -89,6 +94,14 @@ impl From<CodecError> for ManaError {
 impl From<ImageError> for ManaError {
     fn from(e: ImageError) -> Self {
         ManaError::Image(e)
+    }
+}
+
+impl ManaError {
+    /// The rank-side error for receiving `got` while the rank's protocol
+    /// waits for `expected`.
+    pub(crate) fn unexpected(got: crate::coordinator::CoordMsg, expected: &str) -> Self {
+        ManaError::Protocol(format!("expected {expected}, received {got:?}"))
     }
 }
 

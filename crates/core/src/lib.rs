@@ -27,7 +27,7 @@
 //! | §III-H lambda vs prepare/finish wrappers | [`callbacks`] |
 //! | §III-I.1 vtable backends | [`vtable`] |
 //! | §III-K globally-unique communicator IDs | [`comm_mgr::global_comm_id`] |
-//! | coordinator protocol | [`coordinator`] |
+//! | coordinator protocol (pure round machine + thread shell) | [`coordinator`] |
 //!
 //! ## Quick start
 //!
@@ -78,11 +78,12 @@ pub use collective_emu::{emu_tag, CollOp, CollOpTable, EmuIo, EmuKind, IRecvSlot
 pub use comm_mgr::{global_comm_id, CommManager, CommRecord};
 pub use config::{CommRestore, DrainMode, ManaConfig, TpcMode};
 pub use coordinator::{
-    spawn_coordinator, spawn_coordinator_ext, topo_order, AbortedRound, CkptRoundStats,
-    CkptTrigger, CommitCheck, CoordHandle, CoordReport, CoordStore, TopoPlan,
+    spawn_coordinator, AbortedRound, CkptRoundStats, CkptTrigger, CoordError, CoordHandle,
+    CoordReport, RoundMachine,
 };
 pub use drain_strategy::{
-    strategy_for, AlltoallDrain, CoordinatorDrain, DrainStrategy, TopoSortDrain,
+    strategy_for, topo_order, AlltoallDrain, CoordinatorDrain, DrainStrategy, TopoPlan,
+    TopoSortDrain,
 };
 pub use error::{ManaError, Result};
 pub use fortran::{FortranConstants, NamedConstant};

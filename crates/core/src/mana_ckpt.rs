@@ -20,7 +20,7 @@
 
 use crate::collective_emu::CollOpMeta;
 use crate::comm_mgr::{CommManager, CommMeta};
-use crate::config::{CommRestore, ManaConfig};
+use crate::config::{debug_enabled, CommRestore, ManaConfig};
 use crate::coordinator::{CoordHandle, CoordMsg, RankMsg};
 use crate::error::{ManaError, Result};
 use crate::ids::{VComm, VCOMM_WORLD};
@@ -68,13 +68,6 @@ impl Decode for ManaMeta {
             wins: crate::mana_win::WinMeta::decode(r)?,
         })
     }
-}
-
-/// `MANA2_DEBUG=1` enables checkpoint-protocol tracing to stderr.
-fn debug_enabled() -> bool {
-    use std::sync::OnceLock;
-    static ON: OnceLock<bool> = OnceLock::new();
-    *ON.get_or_init(|| std::env::var("MANA2_DEBUG").is_ok())
 }
 
 impl<'p> Mana<'p> {
@@ -166,13 +159,9 @@ impl<'p> Mana<'p> {
                 rank: self.rank(),
                 in_collective: self.cur_collective_gid,
             })?;
-            let round = loop {
-                match self.coord.recv()? {
-                    CoordMsg::Go { round } => break round,
-                    other => {
-                        debug_assert!(false, "unexpected while awaiting Go: {other:?}");
-                    }
-                }
+            let round = match self.coord.recv()? {
+                CoordMsg::Go { round } => round,
+                other => return Err(ManaError::unexpected(other, "Go")),
             };
             if let Some(r) = &self.rec {
                 r.end(round as i64, Phase::Intent);
@@ -195,13 +184,11 @@ impl<'p> Mana<'p> {
         // the per-strategy histogram, so the protocols are directly
         // comparable from one metrics series.
         let strat = crate::drain_strategy::strategy_for(self.cfg.drain);
+        let (quiesce_hist, rounds) = crate::drain_strategy::strategy_metrics(self.cfg.drain);
         let t_quiesce = std::time::Instant::now();
         strat.quiesce(self)?;
-        self.m_observe(
-            crate::drain_strategy::quiesce_hist(self.cfg.drain),
-            t_quiesce.elapsed().as_nanos() as u64,
-        );
-        self.m_add(crate::drain_strategy::rounds_counter(self.cfg.drain), 1);
+        self.m_observe(quiesce_hist, t_quiesce.elapsed().as_nanos() as u64);
+        self.m_add(rounds, 1);
         self.stats
             .drain_sweeps_by_round
             .push((round, self.stats.drain_sweeps - sweeps_before));
@@ -336,10 +323,7 @@ impl<'p> Mana<'p> {
                 self.p2p.reset();
                 Ok(())
             }
-            other => {
-                debug_assert!(false, "unexpected after CkptDone: {other:?}");
-                Err(ManaError::CoordinatorGone)
-            }
+            other => Err(ManaError::unexpected(other, "Resume, Exit or AbortRound")),
         }
     }
 
@@ -513,10 +497,7 @@ impl<'p> Mana<'p> {
                         Err(e) => return Err(e),
                     }
                 }
-                other => {
-                    debug_assert!(false, "unexpected in finalize: {other:?}");
-                    return Err(ManaError::CoordinatorGone);
-                }
+                other => return Err(ManaError::unexpected(other, "FinishAck or Go")),
             }
         }
     }
@@ -628,5 +609,45 @@ impl<'p> Mana<'p> {
         };
         mana.restore_wins(&meta.wins)?;
         Ok(mana)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::Mutex;
+
+    /// Run `body` on a one-rank world whose coordinator has already queued
+    /// `reply`, and return what the rank sent plus the body's result.
+    fn with_reply(
+        reply: CoordMsg,
+        body: impl Fn(&mut Mana<'_>) -> Result<()> + Send + Sync,
+    ) -> (Vec<RankMsg>, Result<()>) {
+        let world = mpisim::World::new(1, mpisim::WorldCfg::default());
+        let (handle, from_rank, to_rank) = CoordHandle::bare(0, world.parker(0));
+        to_rank.send(reply).unwrap();
+        let slot = Mutex::new(Some(handle));
+        let mut out = world
+            .launch(|proc| {
+                let coord = slot.lock().unwrap().take().unwrap();
+                body(&mut Mana::fresh(proc, ManaConfig::default(), coord))
+            })
+            .unwrap();
+        (from_rank.try_iter().collect(), out.remove(0))
+    }
+
+    #[test]
+    fn out_of_order_reply_is_a_protocol_error() {
+        let (sent, res) = with_reply(CoordMsg::Resume, |m| m.enter_checkpoint());
+        assert!(matches!(sent[..], [RankMsg::Ready { rank: 0, .. }]));
+        match res {
+            Err(ManaError::Protocol(s)) => {
+                assert!(s.contains("expected Go") && s.contains("Resume"), "{s}");
+            }
+            other => panic!("expected a protocol error, got {other:?}"),
+        }
+        let (sent, res) = with_reply(CoordMsg::DrainVerdict { balanced: true }, |m| m.finalize());
+        assert_eq!(sent, vec![RankMsg::Finishing { rank: 0 }]);
+        assert!(matches!(res, Err(ManaError::Protocol(s)) if s.contains("FinishAck or Go")));
     }
 }

@@ -8,9 +8,7 @@
 //! re-entered — it finds its position in upper-half memory and continues.
 
 use crate::config::ManaConfig;
-use crate::coordinator::{
-    spawn_coordinator_ext, CkptTrigger, CommitCheck, CoordReport, CoordStore,
-};
+use crate::coordinator::{spawn_coordinator, CkptTrigger, CoordHandle, CoordReport};
 use crate::error::{ManaError, Result};
 use crate::mana::{Mana, ManaStats};
 use mpisim::{StatsSnapshot, World, WorldCfg};
@@ -127,6 +125,10 @@ pub enum RuntimeError {
     /// quiesced state inconsistent (e.g. user traffic still in flight when
     /// a checkpoint round committed). The payload lists the violations.
     Invariant(String),
+    /// The checkpoint coordinator failed: it panicked, a round timed out
+    /// waiting on a rank, or a rank broke the round protocol. The payload
+    /// says which.
+    Coordinator(String),
     /// Restart found no usable checkpoint generation (or the store itself
     /// failed); the payload names every rejected generation and why.
     Store(store::StoreError),
@@ -149,6 +151,7 @@ impl fmt::Display for RuntimeError {
             RuntimeError::Invariant(s) => {
                 write!(f, "checkpoint commit invariant violated: {s}")
             }
+            RuntimeError::Coordinator(s) => write!(f, "checkpoint coordinator: {s}"),
             RuntimeError::Store(e) => write!(f, "checkpoint store: {e}"),
             RuntimeError::RestartKilled { step } => {
                 write!(
@@ -161,6 +164,13 @@ impl fmt::Display for RuntimeError {
 }
 
 impl std::error::Error for RuntimeError {}
+
+/// The message of a thread panic payload.
+fn panic_text(panic: &(dyn std::any::Any + Send)) -> &str {
+    (panic.downcast_ref::<&str>().copied())
+        .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string panic payload")
+}
 
 /// Map a [`JournalStep`] to its flight-recorder payload.
 fn obs_step(step: &JournalStep) -> (obs::RestartStep, i64) {
@@ -441,39 +451,22 @@ impl ManaRuntime {
             }
         }
         let world = World::new(self.n, world_cfg);
-        let commit_check: CommitCheck = {
-            let intro = world.introspect();
-            Box::new(move |round| {
-                let (msgs, bytes) = intro.user_in_flight();
-                if msgs != 0 || bytes != 0 {
-                    return Err(format!(
-                        "round {round} committed with user traffic in flight: \
-                         {msgs} message(s) / {bytes} byte(s)"
-                    ));
-                }
-                Ok(())
-            })
+        // The effective config the rank closures and the coordinator see
+        // always carries the registry (unless metrics are off), so every
+        // rank and the coordinator get a meter.
+        let eff_cfg = {
+            let mut c = self.cfg.clone();
+            c.metrics = (!metrics_off).then(|| reg.clone());
+            c
         };
-        let (handles, trigger, coord_join) = spawn_coordinator_ext(
-            self.n,
-            self.cfg.exit_after_ckpt,
-            self.cfg.fault.clone(),
-            Some(commit_check),
-            Some(CoordStore {
-                root: self.cfg.ckpt_dir.clone(),
-                retain: self.cfg.retain_generations,
-                store: self.cfg.store.clone(),
-            }),
-            // Round numbers keep advancing across restarts so a new round
-            // never reuses (and on abort, never deletes) the generation
-            // directory of a previously committed round.
-            restored_round.map(|r| r + 1).unwrap_or(0),
-            self.cfg.trace.clone(),
-            // Engine unparkers: the coordinator wakes ranks out of engine
-            // parks on every control message and on intent raise.
-            Some(world.unparkers()),
-            (!metrics_off).then(|| reg.clone()),
-        );
+        // Round numbers keep advancing across restarts so a new round
+        // never reuses (and on abort, never deletes) the generation
+        // directory of a previously committed round.
+        let first_round = restored_round.map(|r| r + 1).unwrap_or(0);
+        let (handles, trigger, coord_join) = spawn_coordinator(&eff_cfg, &world, first_round);
+        // Each rank takes its own handle exactly once.
+        let handles: Vec<Mutex<Option<CoordHandle>>> =
+            handles.into_iter().map(|h| Mutex::new(Some(h))).collect();
         // Process-level sampler: pulls engine counters (mpisim stays
         // metrics-agnostic) and the trace rings' drop count into the
         // registry. Runs on every exporter tick and once at run end, so
@@ -592,13 +585,6 @@ impl ManaRuntime {
             });
             (stop, handle)
         });
-        // The effective config the rank closures see always carries the
-        // registry, so Mana::fresh/restore hand every rank a meter.
-        let eff_cfg = {
-            let mut c = self.cfg.clone();
-            c.metrics = (!metrics_off).then(|| reg.clone());
-            c
-        };
         let cfg = &eff_cfg;
         let f = &f;
         let handles_ref = &handles;
@@ -606,11 +592,11 @@ impl ManaRuntime {
         let guard_ref = &guard;
         let restored_ranks_ref = &restored_ranks;
         let launched = world.launch(move |proc| -> Result<(AppOutcome<T>, ManaStats)> {
-            let mut coord = handles_ref[proc.rank()].clone();
-            // Route the control channel's blocking points through the
-            // rank's engine parker: under the coop engine a rank waiting
-            // on the coordinator must release its run token.
-            coord.attach_parker(proc.parker());
+            let coord = handles_ref[proc.rank()]
+                .lock()
+                .expect("coordinator handle slot poisoned")
+                .take()
+                .expect("each rank takes its coordinator handle once");
             let mut mana = if let Some(sel) = selected_ref {
                 let rank = proc.rank();
                 // Layout-aware load: reads the flat `.mana` file when
@@ -728,12 +714,12 @@ impl ManaRuntime {
                 return Err(RuntimeError::World(e.to_string()));
             }
         };
-        let coord = match coord_join.join() {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("mana coordinator thread panicked: {e:?}");
-                CoordReport::default()
-            }
+        let coord: std::result::Result<CoordReport, String> = match coord_join.join() {
+            Ok(res) => res.map_err(|e| e.to_string()),
+            Err(panic) => Err(format!(
+                "coordinator thread panicked: {}",
+                panic_text(&*panic)
+            )),
         };
         // An injected restart kill poisons the world, so peer ranks die of
         // secondary (fabric/coordinator) errors. Scan for the kill first
@@ -749,6 +735,11 @@ impl ManaRuntime {
             self.dump_trace("restart_kill", Some(&snap));
             return Err(RuntimeError::RestartKilled { step });
         }
+        // Once a rank saw a failed coordinator disappear, the coordinator's
+        // error is the primary one and every rank error is its fallout.
+        // Otherwise rank errors take precedence.
+        let coord_primary = coord.is_err()
+            && (results.iter()).any(|r| matches!(r, Err(ManaError::CoordinatorGone)));
         let mut outcomes = Vec::with_capacity(self.n);
         let mut rank_stats = Vec::with_capacity(self.n);
         for (rank, r) in results.into_iter().enumerate() {
@@ -757,6 +748,7 @@ impl ManaRuntime {
                     outcomes.push(o);
                     rank_stats.push(s);
                 }
+                Err(_) if coord_primary => {}
                 Err(e) => {
                     let snap = final_snapshot(&reg, &sample, exporter);
                     self.dump_trace("rank_fail", Some(&snap));
@@ -772,6 +764,14 @@ impl ManaRuntime {
             reg.add(met::PROCESS_ACTOR, met::RESTART_COMMS_RESTORED, comms);
             reg.add(met::PROCESS_ACTOR, met::RESTART_REPLAYED_CALLS, replayed);
         }
+        let coord = match coord {
+            Ok(c) => c,
+            Err(e) => {
+                let snap = final_snapshot(&reg, &sample, exporter);
+                self.dump_trace("coordinator", Some(&snap));
+                return Err(RuntimeError::Coordinator(e));
+            }
+        };
         if !coord.invariant_violations.is_empty() {
             let snap = final_snapshot(&reg, &sample, exporter);
             self.dump_trace("invariant", Some(&snap));
@@ -958,5 +958,36 @@ impl ManaRuntime {
             ),
             Err(e) => eprintln!("mana2: flight recorder dump failed: {e}"),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::coordinator::RankMsg;
+
+    #[test]
+    fn coordinator_failure_is_the_primary_runtime_error() {
+        let dir = std::env::temp_dir().join(format!("mana2_rt_coord_fail_{}", std::process::id()));
+        let cfg = ManaConfig {
+            ckpt_dir: dir.clone(),
+            ..ManaConfig::default()
+        };
+        let res = ManaRuntime::new(2, cfg).run_fresh(|m| {
+            if m.rank() == 0 {
+                // A round report while no round runs stops the
+                // coordinator; the rank then sees it gone at finalize.
+                m.coord.send(RankMsg::CkptFailed {
+                    rank: 0,
+                    reason: "stray".into(),
+                })?;
+            }
+            Ok(())
+        });
+        match res {
+            Err(RuntimeError::Coordinator(s)) => assert!(s.contains("stray message"), "{s}"),
+            other => panic!("expected a coordinator error, got {other:?}"),
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

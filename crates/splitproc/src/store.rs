@@ -778,7 +778,7 @@ fn pick_damage_target<'a>(new_paths: &'a [PathBuf], recipe: &'a Path, offset: u6
 // ---- manifest --------------------------------------------------------------
 
 /// One rank's image as recorded in a committed manifest.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ManifestEntry {
     /// World rank.
     pub rank: u64,
